@@ -9,11 +9,11 @@ import (
 // happens while the touched stripe write locks are held — that is what
 // makes feed order a valid serialization of the store. The only
 // functions that hold the right locks at the right moment are the oms
-// commit helpers (commitApplied, Apply, Delete, Rollback) and the
-// replication surface (ApplyReplicated, ResetFromSnapshot). Any new call
-// site is flagged: publishing outside the hold would let an LSN escape
-// the lock and reorder history for every feed consumer — snapshots,
-// notifiers, replicas.
+// commit helpers (commitApplied, Apply, Delete) and the replication
+// surface (ApplyReplicated, ResetFromSnapshot). Any new call site is
+// flagged: publishing outside the hold would let an LSN escape the lock
+// and reorder history for every feed consumer — snapshots, notifiers,
+// replicas.
 var FeedPublishAnalyzer = &Analyzer{
 	Name: "feedpublish",
 	Doc:  "feed.publish/publishAt/rebase may only be called from the commit helpers that hold the touched stripes",
@@ -28,7 +28,6 @@ var feedPublishAllowed = map[string]bool{
 	"commitApplied":     true, // single-op commit, caller holds the op's stripes
 	"Apply":             true, // grouped commit, holds the batch's stripe set
 	"Delete":            true, // cascade commit, holds lockAll
-	"Rollback":          true, // compensating group, holds lockAll
 	"ApplyReplicated":   true, // follower apply, holds lockAll, publishes at primary LSNs
 	"ResetFromSnapshot": true, // bootstrap swap, holds lockAll, rebases the feed
 }
@@ -57,7 +56,7 @@ func runFeedPublish(pass *Pass) {
 			}
 			switch callee.Name() {
 			case "publish", "publishAt", "rebase":
-				pass.Reportf(call.Pos(), "%s called from %s, which is not a sanctioned commit helper; LSN assignment must happen under the stripe hold (commitApplied/Apply/Delete/Rollback/ApplyReplicated/ResetFromSnapshot)", callee.Name(), fn.Name())
+				pass.Reportf(call.Pos(), "%s called from %s, which is not a sanctioned commit helper; LSN assignment must happen under the stripe hold (commitApplied/Apply/Delete/ApplyReplicated/ResetFromSnapshot)", callee.Name(), fn.Name())
 			}
 			return true
 		})

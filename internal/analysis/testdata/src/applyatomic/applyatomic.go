@@ -20,8 +20,6 @@ func (s *Store) Set(k, v int) { s.n++ }
 
 func (s *Store) Link(a, b int) { s.n++ }
 
-func (s *Store) Begin() {}
-
 // Framework mirrors the desktop API shape.
 type Framework struct {
 	store   *Store
@@ -79,16 +77,4 @@ func (fw *Framework) Looped(xs []int) error { // want applyatomic "without one B
 		fw.store.Set(x, 1)
 	}
 	return nil
-}
-
-// BeginBarrier uses Begin as a barrier before one Apply — Begin is
-// deliberately not a mutation group, so this is clean.
-func (fw *Framework) BeginBarrier(x int) error {
-	if err := fw.guardWrite(); err != nil {
-		return err
-	}
-	fw.store.Begin()
-	b := &Batch{}
-	b.ops = append(b.ops, x)
-	return fw.store.Apply(b)
 }

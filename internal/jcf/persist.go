@@ -34,9 +34,7 @@ import (
 //	oms@<epoch>        the object database snapshot payload
 //	framework@<epoch>  release, flows, reservations, 4.0 extension state
 //
-// Older epochs are garbage-collected after a successful commit. Legacy
-// state directories (oms.json + framework.json, written before the
-// manifest scheme) still load via a fallback.
+// Older epochs are garbage-collected after a successful commit.
 //
 // Flow enactments are not persisted: like the original, activity
 // execution state lives with the session, while all design data and
@@ -66,8 +64,6 @@ type persistedState struct {
 // can ship the same commit stream this layer writes.
 
 const (
-	legacyOMS   = "oms.json"
-	legacyFW    = "framework.json"
 	omsPrefix   = "oms@"
 	fwPrefix    = "framework@"
 	deltaPrefix = "delta@"
@@ -362,13 +358,10 @@ func Load(dir string) (*Framework, error) {
 // replaying the manifest's delta chain in order; every payload is
 // checksum-verified and the chain's LSN ranges must be contiguous.
 //
-// Backends without a CURRENT manifest fall back to the legacy layout
-// (framework.json + oms.json as two independent files).
+// A backend without a CURRENT manifest holds no committed state: the
+// error wraps backend.ErrNotFound.
 func LoadFrom(b backend.Backend) (*Framework, error) {
 	manifest, err := backend.LoadManifest(b)
-	if errors.Is(err, backend.ErrNotFound) {
-		return loadLegacy(b)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
@@ -414,29 +407,6 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 			return nil, fmt.Errorf("jcf: load: %s: %w", d.Name, err)
 		}
 		prevTo = d.ToLSN
-	}
-	return decodeFramework(fwPayload, store)
-}
-
-// loadLegacy reads the pre-manifest two-file layout.
-func loadLegacy(b backend.Backend) (*Framework, error) {
-	fwPayload, err := b.Get(legacyFW)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: %w", err)
-	}
-	omsPayload, err := b.Get(legacyOMS)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: %w", err)
-	}
-	return decodePair(fwPayload, omsPayload)
-}
-
-// decodePair rebuilds a framework from the two snapshot payloads and
-// validates their mutual consistency (the legacy non-differential path).
-func decodePair(fwPayload, omsPayload []byte) (*Framework, error) {
-	store, err := decodeStore(omsPayload)
-	if err != nil {
-		return nil, err
 	}
 	return decodeFramework(fwPayload, store)
 }

@@ -149,19 +149,20 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("load of missing dir")
 	}
+	// Payload files without a CURRENT manifest are not committed state.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "framework.json"), []byte("{bad"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("corrupt framework.json accepted")
-	}
-	// Valid framework.json but missing oms.json.
 	if err := os.WriteFile(filepath.Join(dir, "framework.json"), []byte(`{"release":30}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Load(dir); !errors.Is(err, backend.ErrNotFound) {
+		t.Fatalf("load without manifest: %v, want wrapped backend.ErrNotFound", err)
+	}
+	// A corrupt manifest is refused.
+	if err := os.WriteFile(filepath.Join(dir, backend.ManifestKey), []byte("{bad"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Load(dir); err == nil {
-		t.Fatal("missing oms.json accepted")
+		t.Fatal("corrupt manifest accepted")
 	}
 	_ = oms.InvalidOID
 	var errSentinel = errors.New("x")
@@ -281,10 +282,21 @@ func TestLoadRejectsTornPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("framework.json", fwPayload); err != nil {
+	if err := b.Put("framework@1", fwPayload); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("oms.json", emptyOMS); err != nil {
+	if err := b.Put("oms@1", emptyOMS); err != nil {
+		t.Fatal(err)
+	}
+	// Valid checksums: only the pair's mutual-consistency check stands
+	// between this commit and a resurrected torn state.
+	if err := backend.PutManifest(b, backend.Manifest{
+		Epoch:        1,
+		OMS:          "oms@1",
+		Framework:    "framework@1",
+		OMSSum:       backend.SHA256Hex(emptyOMS),
+		FrameworkSum: backend.SHA256Hex(fwPayload),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(torn); err == nil {

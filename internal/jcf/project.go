@@ -462,7 +462,7 @@ func (fw *Framework) CheckInData(user string, do oms.OID, srcPath string) (oms.O
 
 // CheckInDataOpByOp is the pre-batch checkin retained as the ablation
 // baseline for BenchmarkE38BatchCheckin (BENCH_3.json), exactly like
-// SaveStopTheWorld documents the pre-snapshot persistence path. It pays
+// SnapshotStopTheWorld documents the pre-snapshot capture path. It pays
 // one lock round-trip per op and reproduces the two bugs the batched
 // path closes: a failing CopyIn or derivation link strands a linked,
 // dataless DesignObjectVersion, and the reservation can be released

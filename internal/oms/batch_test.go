@@ -85,11 +85,13 @@ func TestBatchAllOrNothing(t *testing.T) {
 	opsBefore, _, _ := st.Stats()
 
 	// Everything before the failing op must be rolled back: a fresh
-	// version, its link, an attribute flip, an unlink of a live link.
+	// version, its link, an attribute flip, a first set of an absent
+	// attribute, an unlink of a live link.
 	b := NewBatch()
 	v := b.Create("Version", map[string]Value{"num": I(2)})
 	b.Link("hasVersion", cell, v)
 	b.Set(cell, "rev", I(99))
+	b.Set(cell, "published", B(true))
 	b.Unlink("hasVersion", cell, vOld)
 	b.Link("hasVersion", OID(777777), v) // no such object: the batch dies here
 	if _, err := st.Apply(b); err == nil {
@@ -97,6 +99,14 @@ func TestBatchAllOrNothing(t *testing.T) {
 	}
 	if after := storeFingerprint(st); after != before {
 		t.Fatalf("failed batch left a trace:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if _, ok, _ := st.Get(cell, "published"); ok {
+		t.Fatal("failed batch left a previously absent attribute set")
+	}
+	// The undone create must also leave the class index: Count and
+	// All(class) answer from it, not from the object map.
+	if got := st.All("Version"); st.Count("Version") != 1 || len(got) != 1 || got[0] != vOld {
+		t.Fatalf("class index after failed create: Count=%d All=%v", st.Count("Version"), got)
 	}
 	if ops, _, _ := st.Stats(); ops <= opsBefore {
 		// Rolled-back ops still count as performed operations (they ran);
@@ -179,6 +189,9 @@ func TestBatchDeleteAndRollback(t *testing.T) {
 	if after := storeFingerprint(st); after != before {
 		t.Fatalf("rolled-back delete left a trace:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
+	if got := st.All("Version"); st.Count("Version") != 1 || len(got) != 1 || got[0] != v {
+		t.Fatalf("class index after failed delete: Count=%d All=%v", st.Count("Version"), got)
+	}
 
 	// Successful batch: delete + recreate in one atomic step.
 	b2 := NewBatch()
@@ -194,73 +207,6 @@ func TestBatchDeleteAndRollback(t *testing.T) {
 	}
 	if ts := st.Targets("hasVersion", cell); len(ts) != 1 || ts[0] != created[0] {
 		t.Fatalf("targets = %v, want [%d]", ts, created[0])
-	}
-}
-
-func TestBatchInsideTransaction(t *testing.T) {
-	st := NewStore(testSchema(t))
-	cell := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu"), "rev": I(1)})
-	base := storeFingerprint(st)
-
-	// A batch applied inside a transaction is reverted by Rollback.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatch()
-	v := b.Create("Version", map[string]Value{"num": I(1)})
-	b.Link("hasVersion", cell, v)
-	b.Set(cell, "rev", I(5))
-	if _, err := st.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.GetInt(cell, "rev"); got != 5 {
-		t.Fatalf("rev inside tx = %d, want 5", got)
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if after := storeFingerprint(st); after != base {
-		t.Fatalf("rollback did not revert the batch:\nbefore:\n%s\nafter:\n%s", base, after)
-	}
-
-	// A batch that fails inside a transaction undoes itself; the
-	// transaction's other work survives until Commit.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(cell, "rev", I(2)); err != nil {
-		t.Fatal(err)
-	}
-	fb := NewBatch()
-	fb.Set(cell, "rev", I(42))
-	fb.Link("hasVersion", cell, OID(777777))
-	if _, err := st.Apply(fb); err == nil {
-		t.Fatal("failing batch applied")
-	}
-	if got := st.GetInt(cell, "rev"); got != 2 {
-		t.Fatalf("rev after failed batch = %d, want 2 (the tx's own set)", got)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.GetInt(cell, "rev"); got != 2 {
-		t.Fatalf("rev after commit = %d, want 2", got)
-	}
-
-	// A batch applied then committed persists past a later transaction.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	gb := NewBatch()
-	gb.Set(cell, "rev", I(9))
-	if _, err := st.Apply(gb); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.GetInt(cell, "rev"); got != 9 {
-		t.Fatalf("rev after committed batch = %d, want 9", got)
 	}
 }
 

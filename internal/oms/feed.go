@@ -19,10 +19,9 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 
 // The sequenced change feed.
 //
-// Every committed mutation of the store — single ops, whole Apply
-// batches, and the compensating effects of a transaction rollback —
-// emits Change records into an in-store ring log, stamped with a
-// monotonic commit LSN. The LSN is assigned while the mutation still
+// Every committed mutation of the store — single ops and whole Apply
+// batches — emits Change records into an in-store ring log, stamped with
+// a monotonic commit LSN. The LSN is assigned while the mutation still
 // holds its stripe write locks, so the feed order is a valid
 // serialization of the store's history: two conflicting operations
 // serialize on a shared stripe and publish in that order, and
@@ -31,19 +30,15 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // the property the differential persistence layer (internal/jcf) and the
 // coupling layer (internal/core) are built on.
 //
-// Groups: a batch (Store.Apply), a Delete (object removal plus every
-// link detach), and a rollback's compensation commit as ONE contiguous
-// group of records — published under a single feed-mutex hold, with the
-// committed LSN advanced once, after the whole group is in the ring. A
-// reader can therefore never observe a torn group: Changes and Watch
-// only ever see group-complete prefixes, and Watch delivers each group
-// as one message.
+// Groups: a batch (Store.Apply) and a Delete (object removal plus every
+// link detach) commit as ONE contiguous group of records — published
+// under a single feed-mutex hold, with the committed LSN advanced once,
+// after the whole group is in the ring. A reader can therefore never
+// observe a torn group: Changes and Watch only ever see group-complete
+// prefixes, and Watch delivers each group as one message.
 //
-// Rollback does not rewrite history: the records a transaction published
-// stay in the feed, and Rollback appends compensating records (delete
-// for create, the old value for set, unlink for link, ...) in replay
-// order. Consumers that replay the feed need no special rollback
-// handling — the compensations are ordinary records.
+// A failed batch publishes nothing: Apply undoes its ops before the
+// stripe locks drop, so the feed only ever carries committed history.
 //
 // The ring is bounded (growing geometrically up to feedMaxRecords), so
 // the feed pins at most that many records — including any blob Values
@@ -56,8 +51,10 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // ChangeKind enumerates the feed record types.
 type ChangeKind int
 
-// Change kinds. ChangeSet with Cleared reports an attribute removal
-// (only rollback compensation produces it — the public API has no unset).
+// Change kinds. ChangeSet with Cleared reports an attribute removal. The
+// public API has no unset, so the store emits no such record; Cleared is
+// kept because it is part of the persisted-delta and replication-frame
+// format, and encode, replay and consumers must keep honouring it.
 const (
 	ChangeCreate ChangeKind = iota
 	ChangeSet
@@ -91,8 +88,8 @@ type Change struct {
 	// contiguous, never reused).
 	LSN uint64
 	// Group is the LSN of the first record of the record's commit group.
-	// Single ops form a group of one (Group == LSN); a batch, a Delete's
-	// cascade and a rollback's compensation share one Group.
+	// Single ops form a group of one (Group == LSN); a batch and a
+	// Delete's cascade share one Group.
 	Group uint64
 
 	Kind ChangeKind
@@ -145,7 +142,7 @@ func changeBlobBytes(c Change) int {
 	return n
 }
 
-// feed is the in-store ring log. Its mutex is a leaf lock like logMu:
+// feed is the in-store ring log. Its mutex is a leaf lock:
 // publish() is called while stripe write locks are held, and readers
 // (Changes, Watch goroutines) take only feedMu.
 type feed struct {

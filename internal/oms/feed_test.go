@@ -212,55 +212,6 @@ func TestFeedDeleteCascadeGroup(t *testing.T) {
 	}
 }
 
-// TestFeedRollbackCompensation: a rolled-back transaction's forward
-// records stay in the feed and one compensation group follows; replaying
-// the whole feed lands on the rolled-back state.
-func TestFeedRollbackCompensation(t *testing.T) {
-	schema := feedSchema(t)
-	st := NewStore(schema)
-	cell, _ := st.Create("Cell", map[string]Value{"name": S("alu"), "rev": I(1)})
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := st.Create("Version", map[string]Value{"num": I(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Link("hasVersion", cell, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(cell, "rev", I(2)); err != nil {
-		t.Fatal(err)
-	}
-	preRollback := st.FeedLSN()
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	comps, _ := st.Changes(preRollback)
-	if len(comps) != 3 {
-		t.Fatalf("rollback published %d compensations, want 3: %+v", len(comps), comps)
-	}
-	for _, c := range comps {
-		if c.Group != comps[0].LSN {
-			t.Fatal("compensation group torn")
-		}
-	}
-	// Compensations run in reverse replay order: set back, unlink, delete.
-	if comps[0].Kind != ChangeSet || comps[0].Value.Int != 1 {
-		t.Fatalf("first compensation = %+v, want rev back to 1", comps[0])
-	}
-	if comps[1].Kind != ChangeUnlink || comps[2].Kind != ChangeDelete {
-		t.Fatalf("compensations = %+v", comps)
-	}
-	all, _ := st.Changes(0)
-	if got, want := fingerprint(t, replayed(t, schema, all)), fingerprint(t, st); got != want {
-		t.Fatalf("replay after rollback diverges:\n got %s\nwant %s", got, want)
-	}
-	if st.Count("Version") != 0 {
-		t.Fatal("rollback left the version behind")
-	}
-}
-
 // TestSnapshotLSNAnchorsDelta: a snapshot plus the change suffix after
 // its LSN reproduces the live store — the differential-save contract.
 func TestSnapshotLSNAnchorsDelta(t *testing.T) {

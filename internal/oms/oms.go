@@ -9,8 +9,9 @@
 //     cardinality constraints),
 //   - object creation/deletion and attribute access,
 //   - binary relationships between objects with cardinality checking,
-//   - transactions with rollback (an undo log per transaction),
-//   - persistence of the whole store to a JSON snapshot file, and
+//   - atomic grouped mutation (Batch / Store.Apply, see batch.go),
+//   - a sequenced change feed of every committed mutation (feed.go),
+//   - consistent-cut snapshots encoded as JSON (snapshot.go), and
 //   - blob storage with file-system staging (CopyIn/CopyOut), mirroring the
 //     JCF behaviour that encapsulated tools never touch database internals
 //     but exchange design data through the UNIX file system.
@@ -38,12 +39,8 @@
 // Internal lock ordering (never acquire in any other order):
 //
 //  1. stripe mutexes, ascending stripe index (lockPair / lockAll)
-//  2. logMu (transaction log) — leaf; only taken while a transaction is
-//     open (txOpen fast path); Rollback detaches the log under logMu,
-//     then replays the undo entries in one atomic step with every stripe
-//     write-locked
-//  3. feedMu (the change feed ring, see feed.go) — leaf like logMu:
-//     every committed mutation publishes its sequenced change records
+//  2. feedMu (the change feed ring, see feed.go) — leaf: every
+//     committed mutation publishes its sequenced change records
 //     while still holding its stripe write locks, which is what makes
 //     the feed's LSN order a valid serialization of store history
 //
@@ -62,7 +59,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/oms/blobstore"
@@ -453,18 +449,6 @@ type Store struct {
 	allocMu sync.Mutex
 	nextOID OID
 
-	// logMu guards the transaction pointer and its undo log. It is a leaf
-	// lock: record() may take it while stripe locks are held, but nothing
-	// acquires stripes while holding it. txOpen holds the generation of
-	// the open transaction (0 when none), so the no-transaction fast path
-	// of record() is a single atomic load instead of a global mutex on
-	// every mutation, and a mutation can never append its undo entry to a
-	// *different* transaction's log than the one it observed open.
-	logMu  sync.Mutex
-	tx     *txLog // non-nil while a transaction is open
-	txGen  uint64 // guarded by logMu; last generation handed out
-	txOpen atomic.Uint64
-
 	// blobs is the optional content-addressed store large blob values
 	// spill into; spillAt is the threshold in bytes (see blobref.go).
 	// Both are set once at wire-up, before the store is shared.
@@ -480,8 +464,6 @@ type Store struct {
 	statBlobIn   obs.Counter // logical bytes copied into the database
 	statBlobOut  obs.Counter // logical bytes copied out of the database
 	statBlobPhys obs.Counter // bytes physically stored inline
-	statCommits  obs.Counter
-	statRollback obs.Counter
 
 	// metrics holds the store's latency instruments (see metrics.go).
 	metrics storeMetrics
@@ -547,7 +529,7 @@ func (st *Store) lockPair(a, b OID) func() {
 }
 
 // lockAll write-locks every stripe in ascending order. Used by the cold
-// multi-object paths (Delete and its rollback).
+// whole-store paths (Delete, replication apply and reset).
 func (st *Store) lockAll() {
 	for i := range st.stripes {
 		st.stripes[i].mu.Lock()
@@ -597,142 +579,27 @@ func (st *Store) classOIDs(class string) []OID {
 	return out
 }
 
-// --- transactions -----------------------------------------------------
+// --- applied mutations ------------------------------------------------
 
 type undoFn func(st *Store)
 
 // applied describes one applied primitive mutation: the feed record it
-// publishes, the undo that reverts it, and the compensating record the
-// undo publishes if it runs during a transaction rollback. A no-op
-// (idempotent re-link, absent unlink) has a nil undo and publishes
-// nothing.
+// publishes and the undo that reverts it (run by Apply when a later op
+// of the same batch fails). A no-op (idempotent re-link, absent unlink)
+// has a nil undo and publishes nothing.
 type applied struct {
 	change Change
-	comp   Change
 	undo   undoFn
 }
 
-// txEntry is one undo-log slot: the revert closure plus the feed record
-// that announces the revert.
-type txEntry struct {
-	fn   undoFn
-	comp Change
-}
-
-type txLog struct {
-	gen  uint64 // the txOpen generation this log belongs to
-	undo []txEntry
-}
-
-// Begin opens a transaction. Only one transaction may be open at a time;
-// nested Begin is an error. Operations performed while a transaction is open
-// are rolled back by Rollback.
-func (st *Store) Begin() error {
-	st.logMu.Lock()
-	if st.tx != nil {
-		st.logMu.Unlock()
-		return fmt.Errorf("oms: transaction already open")
-	}
-	st.txGen++
-	st.tx = &txLog{gen: st.txGen}
-	st.txOpen.Store(st.txGen)
-	st.logMu.Unlock()
-	// Barrier: every mutation calls record() while still holding its
-	// stripe locks, so cycling through all stripes here (after releasing
-	// logMu — logMu sits below the stripes in the lock order) guarantees
-	// that in-flight mutations have consulted txOpen and drained, and any
-	// operation starting after Begin returns observes txOpen true. Without
-	// this, a mutation racing Begin could slip past the undo log.
-	st.lockAll()
-	st.unlockAll()
-	return nil
-}
-
-// Commit closes the open transaction, keeping all changes.
-func (st *Store) Commit() error {
-	st.logMu.Lock()
-	defer st.logMu.Unlock()
-	if st.tx == nil {
-		return fmt.Errorf("oms: no open transaction")
-	}
-	st.tx = nil
-	st.txOpen.Store(0)
-	st.statCommits.Add(1)
-	return nil
-}
-
-// Rollback undoes every operation performed since Begin. Every stripe is
-// write-locked FIRST (the stripes-then-logMu order every mutation also
-// uses), then the log is detached and replayed in place, so the whole
-// rollback is one atomic step: mutations that completed while the
-// transaction was open are undone, concurrent designers never observe a
-// half-rolled-back store, and a write acknowledged after the transaction
-// closed can never be reverted.
-//
-// The feed records the transaction's operations published are not
-// rewritten; instead the rollback publishes their compensating records
-// (in replay order) as ONE commit group, so feed consumers replaying
-// history land on the rolled-back state without any special handling.
-func (st *Store) Rollback() error {
-	st.lockAll()
-	st.logMu.Lock()
-	if st.tx == nil {
-		st.logMu.Unlock()
-		st.unlockAll()
-		return fmt.Errorf("oms: no open transaction")
-	}
-	log := st.tx
-	st.tx = nil // undo functions run outside the tx
-	st.txOpen.Store(0)
-	st.logMu.Unlock()
-	comps := make([]Change, 0, len(log.undo))
-	for i := len(log.undo) - 1; i >= 0; i-- {
-		log.undo[i].fn(st)
-		comps = append(comps, log.undo[i].comp)
-	}
-	st.feed.publish(comps)
-	st.unlockAll()
-	st.statRollback.Add(1)
-	return nil
-}
-
-// InTx reports whether a transaction is open.
-func (st *Store) InTx() bool {
-	st.logMu.Lock()
-	defer st.logMu.Unlock()
-	return st.tx != nil
-}
-
-// record appends an undo entry when a transaction is open. The common
-// no-transaction case is a single atomic load — mutations from concurrent
-// designers never serialize on the log. The generation check ensures the
-// entry lands only in the log of the very transaction the mutation saw
-// open: if that transaction closed (and even if a new one opened) in the
-// meantime, the entry is dropped rather than corrupting a later log.
-func (st *Store) record(a applied) {
-	if a.undo == nil {
-		return
-	}
-	gen := st.txOpen.Load()
-	if gen == 0 {
-		return
-	}
-	st.logMu.Lock()
-	if st.tx != nil && st.tx.gen == gen {
-		st.tx.undo = append(st.tx.undo, txEntry{fn: a.undo, comp: a.comp})
-	}
-	st.logMu.Unlock()
-}
-
-// commitApplied publishes a successful single-op mutation to the feed
-// and hands its undo to an open transaction. The caller still holds the
-// op's stripe write locks. No-ops (nil undo) publish nothing.
+// commitApplied publishes a successful single-op mutation to the feed.
+// The caller still holds the op's stripe write locks. No-ops (nil undo)
+// publish nothing.
 func (st *Store) commitApplied(a applied) {
 	if a.undo == nil {
 		return
 	}
 	st.feed.publish([]Change{a.change})
-	st.record(a)
 }
 
 // --- object lifecycle -------------------------------------------------
@@ -776,11 +643,10 @@ func (st *Store) allocOID() OID {
 // insertLocked installs a validated object. The caller holds oid's stripe
 // write lock and hands over ownership of attrs (values must already be
 // private copies) — the map is adopted as the object's attribute map, not
-// copied. Returns the applied record; the caller decides whether its
-// undo goes to the transaction log (single ops) or a batch undo list
-// (Apply), and publishes its change to the feed on commit. The change
-// record carries a private copy of the attribute map (Values shared —
-// they are immutable), so later Sets never mutate history.
+// copied. Returns the applied record; the caller publishes its change to
+// the feed on commit. The change record carries a private copy of the
+// attribute map (Values shared — they are immutable), so later Sets
+// never mutate history.
 func (st *Store) insertLocked(oid OID, class string, attrs map[string]Value) applied {
 	obj := newObject(oid, class)
 	var recAttrs map[string]Value
@@ -798,7 +664,6 @@ func (st *Store) insertLocked(oid OID, class string, attrs map[string]Value) app
 	st.statOps.Add(1)
 	return applied{
 		change: Change{Kind: ChangeCreate, OID: oid, Class: class, Attrs: recAttrs},
-		comp:   Change{Kind: ChangeDelete, OID: oid, Class: class},
 		undo:   func(u *Store) { u.undoCreate(oid, class) },
 	}
 }
@@ -821,8 +686,9 @@ func (st *Store) Create(class string, attrs map[string]Value) (OID, error) {
 	return oid, nil
 }
 
-// The undo helpers below run during Rollback's replay, which holds every
-// stripe write-locked — they must not lock anything themselves.
+// The undo helpers below run during Apply's failed-batch rollback, which
+// already holds the touched stripes write-locked — they must not lock
+// anything themselves.
 
 func (st *Store) undoCreate(oid OID, class string) {
 	s := st.stripeOf(oid)
@@ -847,9 +713,6 @@ func (st *Store) Delete(oid OID) error {
 		group = append(group, a.change)
 	}
 	st.feed.publish(group)
-	for _, a := range as {
-		st.record(a)
-	}
 	return nil
 }
 
@@ -882,15 +745,8 @@ func (st *Store) deleteLockedU(oid OID) ([]applied, error) {
 	delete(s.objects, oid)
 	s.delClass(obj.class, oid)
 	st.statOps.Add(1)
-	// The compensating create restores the object's attributes; its
-	// links are restored by the preceding unlink compensations.
-	recAttrs := make(map[string]Value, len(obj.attrs))
-	for name, v := range obj.attrs {
-		recAttrs[name] = v
-	}
 	as = append(as, applied{
 		change: Change{Kind: ChangeDelete, OID: oid, Class: obj.class},
-		comp:   Change{Kind: ChangeCreate, OID: oid, Class: obj.class, Attrs: recAttrs},
 		undo:   func(u *Store) { u.undoDelete(oid, obj) },
 	})
 	return as, nil
@@ -967,7 +823,6 @@ func (st *Store) setLockedU(oid OID, name string, v Value) (applied, error) {
 	st.statOps.Add(1)
 	return applied{
 		change: Change{Kind: ChangeSet, OID: oid, Class: obj.class, Attr: name, Value: v},
-		comp:   Change{Kind: ChangeSet, OID: oid, Class: obj.class, Attr: name, Value: old, Cleared: !had},
 		undo:   func(u *Store) { u.undoSet(oid, name, old, had) },
 	}, nil
 }
@@ -1093,7 +948,6 @@ func (st *Store) linkLockedU(rel string, from, to OID) (applied, error) {
 	st.statOps.Add(1)
 	return applied{
 		change: Change{Kind: ChangeLink, Rel: rel, From: from, To: to},
-		comp:   Change{Kind: ChangeUnlink, Rel: rel, From: from, To: to},
 		undo:   func(u *Store) { u.undoLink(rel, from, to) },
 	}, nil
 }
@@ -1109,14 +963,8 @@ func (st *Store) Unlink(rel string, from, to OID) error {
 	}
 	unlock := st.lockPair(from, to)
 	defer unlock()
-	st.unlinkLocked(rel, from, to)
-	return nil
-}
-
-// unlinkLocked removes the link, publishes and records undo; caller
-// holds the stripes of both from and to.
-func (st *Store) unlinkLocked(rel string, from, to OID) {
 	st.commitApplied(st.unlinkLockedU(rel, from, to))
+	return nil
 }
 
 // unlinkLockedU is Unlink's body; caller holds the stripes of both from
@@ -1133,7 +981,6 @@ func (st *Store) unlinkLockedU(rel string, from, to OID) applied {
 	st.statOps.Add(1)
 	return applied{
 		change: Change{Kind: ChangeUnlink, Rel: rel, From: from, To: to},
-		comp:   Change{Kind: ChangeLink, Rel: rel, From: from, To: to},
 		undo:   func(u *Store) { u.undoUnlink(rel, from, to) },
 	}
 }

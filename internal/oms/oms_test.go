@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -231,89 +230,6 @@ func TestDeleteDetaches(t *testing.T) {
 	}
 }
 
-func TestTransactionRollback(t *testing.T) {
-	st := NewStore(testSchema(t))
-	base := mustCreate(t, st, "Cell", map[string]Value{"name": S("keep"), "rev": I(1)})
-
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Begin(); err == nil {
-		t.Fatal("nested Begin accepted")
-	}
-	tmp := mustCreate(t, st, "Cell", map[string]Value{"name": S("temp")})
-	v := mustCreate(t, st, "Version", map[string]Value{"num": I(9)})
-	if err := st.Link("hasVersion", tmp, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(base, "rev", I(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set(base, "published", B(true)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-
-	if st.Exists(tmp) || st.Exists(v) {
-		t.Fatal("rollback left created objects")
-	}
-	if got := st.GetInt(base, "rev"); got != 1 {
-		t.Fatalf("rev after rollback = %d, want 1", got)
-	}
-	if _, ok, _ := st.Get(base, "published"); ok {
-		t.Fatal("rollback left newly set attribute")
-	}
-	if st.InTx() {
-		t.Fatal("transaction still open after rollback")
-	}
-	if err := st.Rollback(); err == nil {
-		t.Fatal("Rollback without Begin accepted")
-	}
-}
-
-func TestTransactionRollbackRestoresDeleted(t *testing.T) {
-	st := NewStore(testSchema(t))
-	c := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
-	v := mustCreate(t, st, "Version", map[string]Value{"num": I(1)})
-	if err := st.Link("hasVersion", c, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(v); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Exists(v) {
-		t.Fatal("rollback did not restore deleted object")
-	}
-	if got := st.Targets("hasVersion", c); len(got) != 1 || got[0] != v {
-		t.Fatalf("rollback did not restore links: %v", got)
-	}
-}
-
-func TestTransactionCommit(t *testing.T) {
-	st := NewStore(testSchema(t))
-	if err := st.Commit(); err == nil {
-		t.Fatal("Commit without Begin accepted")
-	}
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	oid := mustCreate(t, st, "Cell", map[string]Value{"name": S("a")})
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Exists(oid) {
-		t.Fatal("committed object lost")
-	}
-}
-
 func TestQueries(t *testing.T) {
 	st := NewStore(testSchema(t))
 	a := mustCreate(t, st, "Cell", map[string]Value{"name": S("alu")})
@@ -352,11 +268,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "oms.json")
-	if err := st.Save(path); err != nil {
+	data, err := st.Snapshot().EncodeJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := Load(path, schema)
+	ld, err := DecodeSnapshot(data, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,23 +300,16 @@ func TestLoadRejectsUnknownClass(t *testing.T) {
 	schema := testSchema(t)
 	st := NewStore(schema)
 	mustCreate(t, st, "Cell", map[string]Value{"name": S("x")})
-	path := filepath.Join(t.TempDir(), "oms.json")
-	if err := st.Save(path); err != nil {
+	data, err := st.Snapshot().EncodeJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
 	empty := NewSchema()
-	if _, err := Load(path, empty); err == nil {
-		t.Fatal("load against incompatible schema accepted")
+	if _, err := DecodeSnapshot(data, empty); err == nil {
+		t.Fatal("decode against incompatible schema accepted")
 	}
-	// Corrupt file.
-	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, schema); err == nil {
+	if _, err := DecodeSnapshot([]byte("{nope"), schema); err == nil {
 		t.Fatal("corrupt snapshot accepted")
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json"), schema); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 
@@ -531,30 +440,6 @@ func TestPropertySetGetRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a rollback always restores the observable object count.
-func TestPropertyRollbackRestoresCount(t *testing.T) {
-	st := NewStore(testSchema(t))
-	f := func(creates uint8) bool {
-		before := st.Count("")
-		if err := st.Begin(); err != nil {
-			return false
-		}
-		for i := 0; i < int(creates%16); i++ {
-			if _, err := st.Create("Version", map[string]Value{"num": I(int64(i))}); err != nil {
-				_ = st.Rollback()
-				return false
-			}
-		}
-		if err := st.Rollback(); err != nil {
-			return false
-		}
-		return st.Count("") == before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValueEqualAndString(t *testing.T) {
 	cases := []struct {
 		a, b Value
@@ -635,33 +520,6 @@ func TestClassIndexSurvivesDeleteAndRollback(t *testing.T) {
 	}
 	if st.Count("Cell") != 1 {
 		t.Fatalf("Count after delete = %d", st.Count("Cell"))
-	}
-	// Rollback of a delete must restore the index entry.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(b); err != nil {
-		t.Fatal(err)
-	}
-	if st.Count("Cell") != 0 {
-		t.Fatal("index not updated inside tx")
-	}
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.All("Cell"); len(got) != 1 || got[0] != b {
-		t.Fatalf("All after rollback = %v", got)
-	}
-	// Rollback of creates must remove index entries.
-	if err := st.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	mustCreate(t, st, "Cell", map[string]Value{"name": S("tmp")})
-	if err := st.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Count("Cell") != 1 {
-		t.Fatalf("Count after create-rollback = %d", st.Count("Cell"))
 	}
 }
 
@@ -806,86 +664,6 @@ func TestStressParallelMixedOps(t *testing.T) {
 	}
 }
 
-// TestStressConcurrentTransactions drives transactions from many
-// goroutines: whoever wins Begin does work and rolls back while everyone
-// else performs plain operations. The store must stay race-free and every
-// winner's rollback must restore its own object count.
-func TestStressConcurrentTransactions(t *testing.T) {
-	st := NewStore(testSchema(t))
-	base := mustCreate(t, st, "Cell", map[string]Value{"name": S("base"), "rev": I(1)})
-	const workers = 8
-	const rounds = 50
-	var wg sync.WaitGroup
-	var rollbacks atomic.Int64
-	// txGate serializes the goroutines that do transactional writes so the
-	// winner's count assertion cannot race a successor's creates; everyone
-	// else still hammers Begin/Rollback and reads concurrently.
-	var txGate sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				if txGate.TryLock() {
-					if err := st.Begin(); err != nil {
-						// A contender holds a read-only tx; retry later.
-						txGate.Unlock()
-						continue
-					}
-					before := st.Count("Version")
-					a, err := st.Create("Version", map[string]Value{"num": I(int64(i))})
-					if err != nil {
-						t.Errorf("tx Create: %v", err)
-						txGate.Unlock()
-						return
-					}
-					b, err := st.Create("Version", map[string]Value{"num": I(int64(i + 1))})
-					if err != nil {
-						t.Errorf("tx Create: %v", err)
-						txGate.Unlock()
-						return
-					}
-					_ = a
-					if err := st.Delete(b); err != nil {
-						t.Errorf("tx Delete: %v", err)
-						txGate.Unlock()
-						return
-					}
-					if err := st.Rollback(); err != nil {
-						t.Errorf("Rollback: %v", err)
-						txGate.Unlock()
-						return
-					}
-					if after := st.Count("Version"); after != before {
-						t.Errorf("rollback leaked: %d -> %d versions", before, after)
-						txGate.Unlock()
-						return
-					}
-					rollbacks.Add(1)
-					txGate.Unlock()
-				} else {
-					// Contenders: exercise the Begin/Rollback rejection
-					// paths and concurrent reads, never writes — so the
-					// gate holder's undo log stays entirely its own.
-					if err := st.Begin(); err == nil {
-						_ = st.Rollback()
-					}
-					_ = st.GetInt(base, "rev")
-					_ = st.Exists(base)
-					_ = st.Count("Cell")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if rollbacks.Load() == 0 {
-		t.Fatal("no goroutine ever won a transaction")
-	}
-	if !st.Exists(base) {
-		t.Fatal("base object lost")
-	}
-}
-
 // TestStripeDistribution guards the stripe hash: sequential OIDs must
 // spread across many stripes, not cluster in one.
 func TestStripeDistribution(t *testing.T) {
@@ -906,11 +684,7 @@ func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	schema := testSchema(t)
 	st := NewStore(schema)
 	mustCreate(t, st, "Cell", map[string]Value{"name": S("x"), "rev": I(1)})
-	path := filepath.Join(t.TempDir(), "oms.json")
-	if err := st.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := os.ReadFile(path)
+	orig, err := st.Snapshot().EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -919,10 +693,7 @@ func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	if bad == string(orig) {
 		bad = strings.Replace(string(orig), `"kind":1`, `"kind":0`, 1)
 	}
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, schema); err == nil {
+	if _, err := DecodeSnapshot([]byte(bad), schema); err == nil {
 		t.Fatal("kind-mismatched snapshot accepted")
 	}
 	// Missing required attribute: delete "name" from the object entirely
@@ -937,10 +708,7 @@ func TestLoadRejectsCorruptAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, missing, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, schema); err == nil {
+	if _, err := DecodeSnapshot(missing, schema); err == nil {
 		t.Fatal("snapshot missing a required attribute accepted")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/oms/backend"
 )
 
 // snapshot is the on-disk form of a Store. It intentionally contains only
@@ -36,28 +34,6 @@ type snapshotLink struct {
 	Rel  string `json:"rel"`
 	From OID    `json:"from"`
 	To   OID    `json:"to"`
-}
-
-// Save writes the full store content to path as JSON. The write is atomic
-// (temporary file + rename) and the content is a consistent cut taken via
-// Snapshot: writers stall only for the brief header copy, never for the
-// encode or the disk write.
-func (st *Store) Save(path string) error {
-	data, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	if err := writeFileAtomic(path, data); err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	return nil
-}
-
-// writeFileAtomic writes data to path via the backend layer's fsynced
-// temp-file + atomic-rename helper, so a snapshot file is never torn
-// and survives a power loss once Save returns.
-func writeFileAtomic(path string, data []byte) error {
-	return backend.AtomicWriteFile(filepath.Dir(path), filepath.Base(path), data)
 }
 
 // SnapshotStopTheWorld is the pre-PR-2 capture strategy, retained only
@@ -106,37 +82,8 @@ func (st *Store) SnapshotStopTheWorld() *Snapshot {
 	return sn
 }
 
-// SaveStopTheWorld is Save with the stop-the-world capture — the full
-// pre-PR-2 persistence path, kept for the same ablation purpose as
-// SnapshotStopTheWorld.
-func (st *Store) SaveStopTheWorld(path string) error {
-	data, err := st.SnapshotStopTheWorld().EncodeJSON()
-	if err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	if err := writeFileAtomic(path, data); err != nil {
-		return fmt.Errorf("oms: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a snapshot written by Save into a fresh store enforcing schema.
-// The snapshot is validated against the schema; unknown classes, attributes
-// or relationships fail the load.
-func Load(path string, schema *Schema) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("oms: load: %w", err)
-	}
-	st, err := DecodeSnapshot(data, schema)
-	if err != nil {
-		return nil, fmt.Errorf("oms: load %s: %w", path, err)
-	}
-	return st, nil
-}
-
 // DecodeSnapshot rebuilds a store from an encoded snapshot payload (the
-// bytes Snapshot.EncodeJSON or Save produced), regardless of which
+// bytes Snapshot.EncodeJSON produced), regardless of which
 // storage backend held them. The payload is validated against the schema;
 // unknown classes, attributes or relationships fail the decode.
 func DecodeSnapshot(data []byte, schema *Schema) (*Store, error) {

@@ -1,7 +1,6 @@
 package oms
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -195,16 +194,6 @@ func TestResetFromSnapshot(t *testing.T) {
 	}
 	if fingerprint(t, follower) != before {
 		t.Fatal("failed reset mutated the store")
-	}
-	// And a store with an open transaction refuses the swap.
-	if err := follower.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.ResetFromSnapshot(data, snap.LSN()); err == nil || !strings.Contains(err.Error(), "transaction") {
-		t.Fatalf("reset during transaction: %v", err)
-	}
-	if err := follower.Rollback(); err != nil {
-		t.Fatal(err)
 	}
 }
 
