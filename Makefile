@@ -84,9 +84,11 @@ stress-feed:
 ## gapped streams are injected — final replica fingerprints must equal
 ## the primary's and WaitFor barriers must observe the writes they cover
 ## (internal/repl/repl_test.go, internal/jcf/replica_test.go). Runs over
-## both the in-process pipe and real TCP.
+## both the in-process pipe and real TCP. The chain-bootstrap tests cover
+## the publisher's manifest-chain read: a sound chain is shipped, a
+## gapped one falls back to a live snapshot.
 stress-repl:
-	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote' ./internal/repl/ ./internal/jcf/
+	$(GO) test -race -count=3 -run 'TestReplicationConvergenceUnderLoad|TestReplicaStreamRobustness|TestReplicaReadOnlyView|TestReplicaViewPromote|TestReplicaChainBootstrap|TestReplicaChainBootstrapGapFallsBack' ./internal/repl/ ./internal/jcf/
 
 ## stress-blob hammers the content-addressed checkin pipeline under the
 ## race detector: concurrent identical-content checkins must dedup to

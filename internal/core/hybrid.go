@@ -101,19 +101,10 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	interp := fml.NewInterp()
-	hooks := fml.NewHooks(interp)
-	h := &Hybrid{
-		JCF:      fw,
-		Lib:      lib,
-		Bus:      itc.NewBus(),
-		Interp:   interp,
-		Hooks:    hooks,
-		stage:    filepath.Join(dir, "stage"),
-		bindings: map[oms.OID]*cellBinding{},
-		byCell:   map[string]oms.OID{},
+	h, err := assemble(fw, lib, dir)
+	if err != nil {
+		return nil, err
 	}
-	h.initFeedSync()
 
 	// Slave-side views for the encapsulated tools.
 	for view, vt := range map[string]string{
@@ -140,11 +131,29 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 	if _, err := fw.RegisterFlow(DefaultFlow()); err != nil {
 		return nil, err
 	}
+	return h, nil
+}
 
-	// Extension-language customization (section 2.4): lock the
-	// FMCAD-native data-management menus and register the consistency
-	// window trigger. The script runs in the slave's own language, as the
-	// original prototype did.
+// assemble wraps a master and a slave opened under dir into a Hybrid —
+// the one construction path NewHybrid and LoadHybrid share: the ITC bus,
+// the FML interpreter, the feed-sync cursor at the master's current LSN,
+// and the extension-language customization of section 2.4, which locks
+// the FMCAD-native data-management menus and registers the consistency
+// window trigger. The script runs in the slave's own language, as the
+// original prototype did.
+func assemble(fw *jcf.Framework, lib *fmcad.Library, dir string) (*Hybrid, error) {
+	interp := fml.NewInterp()
+	h := &Hybrid{
+		JCF:      fw,
+		Lib:      lib,
+		Bus:      itc.NewBus(),
+		Interp:   interp,
+		Hooks:    fml.NewHooks(interp),
+		stage:    filepath.Join(dir, "stage"),
+		bindings: map[oms.OID]*cellBinding{},
+		byCell:   map[string]oms.OID{},
+	}
+	h.initFeedSync()
 	script := ""
 	for _, menu := range lockedMenus {
 		script += fmt.Sprintf("(hiLockMenu %q %q)\n", menu, "data management is owned by JCF")
@@ -162,9 +171,6 @@ func NewHybrid(release jcf.Release, dir string) (*Hybrid, error) {
 
 // DefaultFlowName returns the name of the registered encapsulation flow.
 func (h *Hybrid) DefaultFlowName() string { return "fmcad-encapsulation" }
-
-// StageDir returns the staging directory used for database/file exchange.
-func (h *Hybrid) StageDir() string { return h.stage }
 
 // Overrides returns how many activities ran out of flow order through the
 // consistency-window escape hatch.

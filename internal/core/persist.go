@@ -8,8 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/fmcad"
-	"repro/internal/fml"
-	"repro/internal/itc"
 	"repro/internal/jcf"
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
@@ -103,19 +101,10 @@ func LoadHybrid(dir string) (*Hybrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	interp := fml.NewInterp()
-	hooks := fml.NewHooks(interp)
-	h := &Hybrid{
-		JCF:      fw,
-		Lib:      lib,
-		Bus:      itc.NewBus(),
-		Interp:   interp,
-		Hooks:    hooks,
-		stage:    filepath.Join(dir, "stage"),
-		bindings: map[oms.OID]*cellBinding{},
-		byCell:   map[string]oms.OID{},
+	h, err := assemble(fw, lib, dir)
+	if err != nil {
+		return nil, err
 	}
-	h.initFeedSync()
 	h.overrides = state.Overrides
 	for _, pb := range state.Bindings {
 		dos := make(map[string]oms.OID, len(pb.DesignObjs))
@@ -130,20 +119,6 @@ func LoadHybrid(dir string) (*Hybrid, error) {
 		h.bindings[pb.CellVersion] = b
 		h.byCell[pb.FMCADCell] = pb.CellVersion
 		h.registerBindingLocked(b)
-	}
-	// Reinstall the standard customization (menu locks + consistency
-	// window trigger).
-	script := ""
-	for _, menu := range lockedMenus {
-		script += fmt.Sprintf("(hiLockMenu %q %q)\n", menu, "data management is owned by JCF")
-	}
-	script += `
-(setq jcfConsistencyWindows 0)
-(hiRegTrigger "consistency-window"
-  (lambda (activity) (setq jcfConsistencyWindows (+ jcfConsistencyWindows 1))))
-`
-	if _, err := interp.Run(script); err != nil {
-		return nil, fmt.Errorf("core: reinstalling FML customization: %w", err)
 	}
 	return h, nil
 }

@@ -50,11 +50,11 @@ type cvUploads struct {
 // ref resolves with a matching digest before accepting the store (the
 // Load/bootstrap half of the durability contract). The blob namespace
 // (blob-<digest>) coexists with the manifest epochs on a shared backend.
-func (fw *Framework) EnableBlobStore(be backend.Backend, threshold int, opts ...blobstore.Option) error {
+func (fw *Framework) EnableBlobStore(be backend.Backend, threshold int) error {
 	if threshold <= 0 {
 		return fmt.Errorf("jcf: blob spill threshold must be positive, got %d", threshold)
 	}
-	bs, err := blobstore.New(be, opts...)
+	bs, err := blobstore.New(be)
 	if err != nil {
 		return err
 	}

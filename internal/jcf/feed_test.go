@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +345,23 @@ func TestDifferentialSaveRoundTrip(t *testing.T) {
 	}
 	if string(liveSnap) != string(loadedSnap) {
 		t.Fatal("differential load diverges from live store")
+	}
+
+	// A delta holding a Set record without a value (an attribute-removal
+	// record, a shape the store never produces) fails the load loudly
+	// instead of replaying as a zero-value Set.
+	lsn := m3.Deltas[0].ToLSN + 1
+	bad := []byte(fmt.Sprintf(`[{"lsn":%d,"group":%d,"kind":1,"oid":%d,"class":"CellVersion","attr":"reservedBy","cleared":true}]`,
+		lsn, lsn, w.cv))
+	if err := seg.Put("delta-cleared", bad); err != nil {
+		t.Fatal(err)
+	}
+	m3.Deltas[1] = backend.DeltaRef{Name: "delta-cleared", Sum: backend.SHA256Hex(bad), FromLSN: lsn - 1, ToLSN: lsn}
+	if err := backend.PutManifest(seg, m3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFrom(seg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lsn %d", lsn)) {
+		t.Fatalf("LoadFrom with a value-less Set record: got %v, want an error naming lsn %d", err, lsn)
 	}
 }
 

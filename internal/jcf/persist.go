@@ -355,8 +355,8 @@ func Load(dir string) (*Framework, error) {
 // store payload does not contain) is rejected rather than resurrected.
 //
 // A differential commit is restored by decoding the base snapshot and
-// replaying the manifest's delta chain in order; every payload is
-// checksum-verified and the chain's LSN ranges must be contiguous.
+// replaying the manifest's delta chain in order; backend.ReadChain
+// verifies every payload's checksum and the chain's LSN contiguity.
 //
 // A backend without a CURRENT manifest holds no committed state: the
 // error wraps backend.ErrNotFound.
@@ -369,44 +369,26 @@ func LoadFrom(b backend.Backend) (*Framework, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jcf: load: manifest epoch %d: %w", manifest.Epoch, err)
 	}
-	omsPayload, err := b.Get(manifest.OMS)
-	if err != nil {
-		return nil, fmt.Errorf("jcf: load: manifest epoch %d: %w", manifest.Epoch, err)
-	}
 	if got := backend.SHA256Hex(fwPayload); got != manifest.FrameworkSum {
 		return nil, fmt.Errorf("jcf: load: %s checksum mismatch (corrupt payload)", manifest.Framework)
 	}
-	if got := backend.SHA256Hex(omsPayload); got != manifest.OMSSum {
-		return nil, fmt.Errorf("jcf: load: %s checksum mismatch (corrupt payload)", manifest.OMS)
+	omsPayload, deltas, err := backend.ReadChain(b, manifest)
+	if err != nil {
+		return nil, fmt.Errorf("jcf: load: %w", err)
 	}
 	store, err := decodeStore(omsPayload)
 	if err != nil {
 		return nil, err
 	}
-	// The chain must attach to the base's cut and stay contiguous — a
-	// gap replays incomplete history, which is refused as loudly as a
-	// torn pair.
-	prevTo := manifest.BaseLSN
-	for _, d := range manifest.Deltas {
-		payload, err := b.Get(d.Name)
-		if err != nil {
-			return nil, fmt.Errorf("jcf: load: manifest epoch %d: %w", manifest.Epoch, err)
-		}
-		if got := backend.SHA256Hex(payload); got != d.Sum {
-			return nil, fmt.Errorf("jcf: load: %s checksum mismatch (corrupt delta)", d.Name)
-		}
-		if d.FromLSN != prevTo {
-			return nil, fmt.Errorf("jcf: load: delta chain broken at %s: starts at %d, expected %d",
-				d.Name, d.FromLSN, prevTo)
-		}
+	for i, payload := range deltas {
+		name := manifest.Deltas[i].Name
 		recs, err := oms.DecodeChanges(payload)
 		if err != nil {
-			return nil, fmt.Errorf("jcf: load: %s: %w", d.Name, err)
+			return nil, fmt.Errorf("jcf: load: %s: %w", name, err)
 		}
 		if err := store.ReplayChanges(recs); err != nil {
-			return nil, fmt.Errorf("jcf: load: %s: %w", d.Name, err)
+			return nil, fmt.Errorf("jcf: load: %s: %w", name, err)
 		}
-		prevTo = d.ToLSN
 	}
 	return decodeFramework(fwPayload, store)
 }

@@ -40,9 +40,6 @@ var disabled atomic.Bool
 // unaffected.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
-// Enabled reports whether timing instrumentation is on.
-func Enabled() bool { return !disabled.Load() }
-
 // Now returns the wall clock, or the zero Time when timing
 // instrumentation is disabled. Paired with Histogram.Since (a no-op on
 // a zero start), hot paths time themselves as

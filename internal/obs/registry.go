@@ -14,7 +14,6 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
 	kindGaugeFunc
 )
 
@@ -88,16 +87,10 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.add(entry{name: name, kind: kindHistogram, h: h})
 }
 
-// RegisterCounterFunc exposes a computed monotonic value. fn runs on
-// every exposition with no registry lock held; it must be safe to call
-// from any goroutine and should itself be non-blocking (read atomics,
-// not mutexes).
-func (r *Registry) RegisterCounterFunc(name string, fn func() int64) {
-	r.add(entry{name: name, kind: kindCounterFunc, fn: fn})
-}
-
-// RegisterGaugeFunc exposes a computed level; same contract as
-// RegisterCounterFunc.
+// RegisterGaugeFunc exposes a computed level. fn runs on every
+// exposition with no registry lock held; it must be safe to call from
+// any goroutine and should itself be non-blocking (read atomics, not
+// mutexes).
 func (r *Registry) RegisterGaugeFunc(name string, fn func() int64) {
 	r.add(entry{name: name, kind: kindGaugeFunc, fn: fn})
 }
@@ -136,7 +129,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	ew := &errWriter{w: w}
 	for _, e := range r.entries() {
 		switch e.kind {
-		case kindCounter, kindCounterFunc:
+		case kindCounter:
 			ew.printf("# TYPE %s counter\n%s %d\n", e.name, e.name, e.value())
 		case kindGauge, kindGaugeFunc:
 			ew.printf("# TYPE %s gauge\n%s %d\n", e.name, e.name, e.value())

@@ -77,6 +77,40 @@ func LoadManifest(b Backend) (Manifest, error) {
 	return m, nil
 }
 
+// ReadChain reads the database half of a committed epoch — the base
+// snapshot payload and the delta payloads in replay order — and checks
+// it: every checksum must match the manifest, and the deltas' LSN
+// ranges must attach to the base's cut and continue each other without
+// a gap (a gap would replay incomplete history). The framework payload
+// is not read. Errors name the epoch or payload and carry no package
+// prefix, so callers wrap them with their own.
+func ReadChain(b Backend, m Manifest) (base []byte, deltas [][]byte, err error) {
+	base, err = b.Get(m.OMS)
+	if err != nil {
+		return nil, nil, fmt.Errorf("manifest epoch %d: %w", m.Epoch, err)
+	}
+	if SHA256Hex(base) != m.OMSSum {
+		return nil, nil, fmt.Errorf("%s checksum mismatch (corrupt payload)", m.OMS)
+	}
+	prevTo := m.BaseLSN
+	for _, d := range m.Deltas {
+		payload, err := b.Get(d.Name)
+		if err != nil {
+			return nil, nil, fmt.Errorf("manifest epoch %d: %w", m.Epoch, err)
+		}
+		if SHA256Hex(payload) != d.Sum {
+			return nil, nil, fmt.Errorf("%s checksum mismatch (corrupt delta)", d.Name)
+		}
+		if d.FromLSN != prevTo {
+			return nil, nil, fmt.Errorf("delta chain broken at %s: starts at %d, expected %d",
+				d.Name, d.FromLSN, prevTo)
+		}
+		deltas = append(deltas, payload)
+		prevTo = d.ToLSN
+	}
+	return base, deltas, nil
+}
+
 // PutManifest commits a manifest: one atomic Put of ManifestKey.
 func PutManifest(b Backend, m Manifest) error {
 	data, err := json.MarshalIndent(&m, "", " ")

@@ -51,10 +51,9 @@ var ErrFeedGap = errors.New("oms: change sequence does not attach to the feed po
 // ChangeKind enumerates the feed record types.
 type ChangeKind int
 
-// Change kinds. ChangeSet with Cleared reports an attribute removal. The
-// public API has no unset, so the store emits no such record; Cleared is
-// kept because it is part of the persisted-delta and replication-frame
-// format, and encode, replay and consumers must keep honouring it.
+// Change kinds. A ChangeSet always carries the attribute's new value:
+// the public API has no unset, so there is no removal record, and
+// DecodeChanges refuses a Set without a value.
 const (
 	ChangeCreate ChangeKind = iota
 	ChangeSet
@@ -101,10 +100,9 @@ type Change struct {
 	// Attrs carries the initial attribute values of a Create.
 	Attrs map[string]Value
 
-	// Attr/Value carry a Set. Cleared means the attribute was removed.
-	Attr    string
-	Value   Value
-	Cleared bool
+	// Attr/Value carry a Set.
+	Attr  string
+	Value Value
 
 	// Rel/From/To carry a Link or Unlink.
 	Rel      string
@@ -485,18 +483,17 @@ func (s *Subscription) run() {
 // wireChange is the JSON form of a Change — the payload of the
 // differential snapshot deltas the jcf persistence layer writes.
 type wireChange struct {
-	LSN     uint64               `json:"lsn"`
-	Group   uint64               `json:"group"`
-	Kind    ChangeKind           `json:"kind"`
-	OID     OID                  `json:"oid,omitempty"`
-	Class   string               `json:"class,omitempty"`
-	Attrs   map[string]snapValue `json:"attrs,omitempty"`
-	Attr    string               `json:"attr,omitempty"`
-	Value   *snapValue           `json:"value,omitempty"`
-	Cleared bool                 `json:"cleared,omitempty"`
-	Rel     string               `json:"rel,omitempty"`
-	From    OID                  `json:"from,omitempty"`
-	To      OID                  `json:"to,omitempty"`
+	LSN   uint64               `json:"lsn"`
+	Group uint64               `json:"group"`
+	Kind  ChangeKind           `json:"kind"`
+	OID   OID                  `json:"oid,omitempty"`
+	Class string               `json:"class,omitempty"`
+	Attrs map[string]snapValue `json:"attrs,omitempty"`
+	Attr  string               `json:"attr,omitempty"`
+	Value *snapValue           `json:"value,omitempty"`
+	Rel   string               `json:"rel,omitempty"`
+	From  OID                  `json:"from,omitempty"`
+	To    OID                  `json:"to,omitempty"`
 }
 
 func toSnapValue(v Value) snapValue {
@@ -515,10 +512,9 @@ func EncodeChanges(recs []Change) ([]byte, error) {
 		w := wireChange{
 			LSN: c.LSN, Group: c.Group, Kind: c.Kind,
 			OID: c.OID, Class: c.Class,
-			Attr: c.Attr, Cleared: c.Cleared,
-			Rel: c.Rel, From: c.From, To: c.To,
+			Attr: c.Attr, Rel: c.Rel, From: c.From, To: c.To,
 		}
-		if c.Kind == ChangeSet && !c.Cleared {
+		if c.Kind == ChangeSet {
 			sv := toSnapValue(c.Value)
 			w.Value = &sv
 		}
@@ -537,7 +533,9 @@ func EncodeChanges(recs []Change) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeChanges parses a delta payload written by EncodeChanges.
+// DecodeChanges parses a delta payload written by EncodeChanges. A Set
+// record without a value is refused, naming its LSN, rather than decoded
+// as a zero-value Set.
 func DecodeChanges(data []byte) ([]Change, error) {
 	var in []wireChange
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -548,11 +546,12 @@ func DecodeChanges(data []byte) ([]Change, error) {
 		c := Change{
 			LSN: w.LSN, Group: w.Group, Kind: w.Kind,
 			OID: w.OID, Class: w.Class,
-			Attr: w.Attr, Cleared: w.Cleared,
-			Rel: w.Rel, From: w.From, To: w.To,
+			Attr: w.Attr, Rel: w.Rel, From: w.From, To: w.To,
 		}
 		if w.Value != nil {
 			c.Value = fromSnapValue(*w.Value)
+		} else if w.Kind == ChangeSet {
+			return nil, fmt.Errorf("oms: decode changes: lsn %d: set record has no value", w.LSN)
 		}
 		if len(w.Attrs) > 0 {
 			c.Attrs = make(map[string]Value, len(w.Attrs))
@@ -613,10 +612,6 @@ func (st *Store) replayOneLocked(c Change) error {
 		obj, ok := st.stripeOf(c.OID).objects[c.OID]
 		if !ok {
 			return fmt.Errorf("no object %d", c.OID)
-		}
-		if c.Cleared {
-			delete(obj.attrs, c.Attr)
-			return nil
 		}
 		def, ok := st.schema.class(obj.class).attr(c.Attr)
 		if !ok {

@@ -342,16 +342,6 @@ func (s *Schema) Rel(name string) *RelDef {
 	return &cp
 }
 
-// Classes returns all class names, sorted.
-func (s *Schema) Classes() []string {
-	out := make([]string, 0, len(s.classes))
-	for n := range s.classes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Rels returns all relationship names, sorted.
 func (s *Schema) Rels() []string {
 	out := make([]string, 0, len(s.rels))

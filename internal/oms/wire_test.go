@@ -1,6 +1,7 @@
 package oms
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,11 @@ func wirePayload(t testing.TB) []byte {
 	return payload
 }
 
+// clearedRecord is a Set record with no value that marks the attribute
+// removed — a record shape the store never produces. DecodeChanges must
+// refuse it rather than decode it as a zero-value Set.
+const clearedRecord = `[{"lsn":7,"group":7,"kind":1,"oid":1,"class":"Cell","attr":"rev","cleared":true}]`
+
 func TestDecodeChangesRobustness(t *testing.T) {
 	valid := wirePayload(t)
 	schema := feedSchema(t)
@@ -56,6 +62,7 @@ func TestDecodeChangesRobustness(t *testing.T) {
 		{"truncated-tail", valid[:len(valid)-3]},
 		{"corrupt-kind-type", []byte(`[{"lsn":1,"group":1,"kind":"create"}]`)},
 		{"corrupt-oid-type", []byte(`[{"lsn":1,"group":1,"kind":0,"oid":"x"}]`)},
+		{"set-without-value", []byte(clearedRecord)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,6 +70,10 @@ func TestDecodeChangesRobustness(t *testing.T) {
 				t.Fatalf("DecodeChanges accepted %s input", tc.name)
 			}
 		})
+	}
+
+	if _, err := DecodeChanges([]byte(clearedRecord)); err == nil || !strings.Contains(err.Error(), "lsn 7") {
+		t.Fatalf("set without a value: got %v, want an error naming lsn 7", err)
 	}
 
 	// Structurally valid JSON with semantic nonsense decodes, but neither
@@ -206,6 +217,7 @@ func FuzzDecodeChanges(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`[{"lsn":1,"group":1,"kind":0,"oid":1,"class":"Cell"}]`))
 	f.Add([]byte(`[{"lsn":1,"group":1,"kind":99}]`))
+	f.Add([]byte(clearedRecord))
 	f.Add([]byte(`{"lsn":1}`))
 	f.Add([]byte("\xFF\x00 not json"))
 	schema := feedSchema(f)

@@ -10,6 +10,11 @@ import (
 	"repro/internal/oms/blobstore"
 )
 
+// sessionBuffer is the per-session Watch channel depth, in change
+// groups: how long a consumer stall a session absorbs before it lags
+// out of the feed ring.
+const sessionBuffer = 256
+
 // Publisher wraps a primary oms.Store and serves its change feed to
 // follower sessions. One Publisher serves any number of listeners and
 // sessions concurrently; sessions are independent — a slow replica can
@@ -18,7 +23,6 @@ import (
 type Publisher struct {
 	st   *oms.Store
 	seed backend.Backend // optional: manifest-chain bootstrap source
-	buf  int             // per-session Watch channel depth
 
 	mu        sync.Mutex
 	closed    bool
@@ -86,19 +90,11 @@ func WithSeedBackend(b backend.Backend) PublisherOption {
 	return func(p *Publisher) { p.seed = b }
 }
 
-// WithSessionBuffer sets the per-session Watch channel depth (default
-// 256 groups). Deeper buffers absorb longer consumer stalls before a
-// session lags out of the feed ring.
-func WithSessionBuffer(n int) PublisherOption {
-	return func(p *Publisher) { p.buf = n }
-}
-
 // NewPublisher returns a publisher for the primary store. Call Serve
 // with one or more listeners, then Close to stop everything.
 func NewPublisher(st *oms.Store, opts ...PublisherOption) *Publisher {
 	p := &Publisher{
 		st:        st,
-		buf:       256,
 		listeners: map[Listener]struct{}{},
 		conns:     map[Conn]struct{}{},
 	}
@@ -303,7 +299,7 @@ func (p *Publisher) send(c Conn, f Frame) bool {
 // the live subscription plus the bootstrap frames to send first.
 func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []Frame, error) {
 	if !needSnap && resume <= p.st.FeedLSN() {
-		if sub, err := p.st.Watch(resume, p.buf); err == nil {
+		if sub, err := p.st.Watch(resume, sessionBuffer); err == nil {
 			return sub, nil, nil
 		}
 	}
@@ -321,7 +317,7 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 		if err != nil {
 			return nil, nil, err
 		}
-		sub, err := p.st.Watch(snap.LSN(), p.buf)
+		sub, err := p.st.Watch(snap.LSN(), sessionBuffer)
 		if err != nil {
 			lastErr = err
 			continue
@@ -336,8 +332,9 @@ func (p *Publisher) attach(resume uint64, needSnap bool) (*oms.Subscription, []F
 // manifest: the base snapshot payload plus each delta payload, exactly
 // as the persistence layer wrote them. Usable only while the feed still
 // retains the manifest's FeedLSN (the chain must hand over to the live
-// stream without a gap); any missing or corrupt payload disqualifies the
-// chain and the caller falls back to a live snapshot.
+// stream without a gap); a missing or corrupt payload or a broken delta
+// chain disqualifies it (backend.ReadChain) and the caller falls back
+// to a live snapshot.
 func (p *Publisher) chainBootstrap() (*oms.Subscription, []Frame, bool) {
 	if p.seed == nil {
 		return nil, nil, false
@@ -346,22 +343,17 @@ func (p *Publisher) chainBootstrap() (*oms.Subscription, []Frame, bool) {
 	if err != nil {
 		return nil, nil, false
 	}
-	sub, err := p.st.Watch(m.FeedLSN, p.buf)
+	sub, err := p.st.Watch(m.FeedLSN, sessionBuffer)
 	if err != nil {
 		return nil, nil, false
 	}
-	base, err := p.seed.Get(m.OMS)
-	if err != nil || backend.SHA256Hex(base) != m.OMSSum {
+	base, deltas, err := backend.ReadChain(p.seed, m)
+	if err != nil {
 		sub.Close()
 		return nil, nil, false
 	}
 	frames := []Frame{{Type: FrameSnapshot, LSN: m.BaseLSN, Payload: base}}
-	for _, d := range m.Deltas {
-		payload, err := p.seed.Get(d.Name)
-		if err != nil || backend.SHA256Hex(payload) != d.Sum {
-			sub.Close()
-			return nil, nil, false
-		}
+	for _, payload := range deltas {
 		frames = append(frames, Frame{Type: FrameChanges, LSN: m.FeedLSN, Payload: payload})
 	}
 	return sub, frames, true

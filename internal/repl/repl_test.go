@@ -273,24 +273,17 @@ func TestReplicaEvictionRebootstrap(t *testing.T) {
 	}
 }
 
-// TestReplicaChainBootstrap: a publisher with a seed backend bootstraps
-// an evicted-past replica by shipping the committed base + delta chain
-// instead of cutting a fresh snapshot.
-func TestReplicaChainBootstrap(t *testing.T) {
-	schema := testSchema(t)
-	st := oms.NewStore(schema)
-	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
-	if err != nil {
-		t.Fatal(err)
-	}
+// seedChain mimics the persistence layer's periodic differential saves
+// into a fresh seed backend: a full base commit, then delta commits
+// captured while the suffix is still retained, while the feed ring
+// churns far past its window. The manifest is returned uncommitted so a
+// caller can damage it before PutManifest.
+func seedChain(t *testing.T, st *oms.Store, cell oms.OID) (backend.Backend, backend.Manifest) {
+	t.Helper()
 	seed, err := backend.OpenFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Mimic the persistence layer's periodic differential saves: a full
-	// base commit, then delta commits captured while the suffix is still
-	// retained, while the feed ring churns far past its window.
 	base, err := st.Snapshot().EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -330,11 +323,24 @@ func TestReplicaChainBootstrap(t *testing.T) {
 		m.FeedLSN = to
 		prevLSN = to
 	}
-	if err := backend.PutManifest(seed, m); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := st.Watch(0, 1); err == nil {
 		t.Fatal("test premise broken: feed still retains LSN 0")
+	}
+	return seed, m
+}
+
+// TestReplicaChainBootstrap: a publisher with a seed backend bootstraps
+// an evicted-past replica by shipping the committed base + delta chain
+// instead of cutting a fresh snapshot.
+func TestReplicaChainBootstrap(t *testing.T) {
+	st := oms.NewStore(testSchema(t))
+	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, m := seedChain(t, st, cell)
+	if err := backend.PutManifest(seed, m); err != nil {
+		t.Fatal(err)
 	}
 
 	p, d := startPipePublisher(t, st, WithSeedBackend(seed))
@@ -353,51 +359,33 @@ func TestReplicaChainBootstrap(t *testing.T) {
 	}
 }
 
-// TestReplicaLocalSeed: a replica colocated with a saved state directory
-// starts from the local chain and only streams the suffix.
-func TestReplicaLocalSeed(t *testing.T) {
-	schema := testSchema(t)
-	st := oms.NewStore(schema)
+// TestReplicaChainBootstrapGapFallsBack: a seed manifest whose delta
+// chain skips a range of LSNs (every payload present and checksummed)
+// is not shipped; the publisher bootstraps the replica from a live
+// snapshot instead, and the replica converges.
+func TestReplicaChainBootstrapGapFallsBack(t *testing.T) {
+	st := oms.NewStore(testSchema(t))
 	cell, err := st.Create("Cell", map[string]oms.Value{"name": oms.S("alu")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn(t, st, cell, 100)
-	seed, err := backend.OpenFile(t.TempDir())
-	if err != nil {
+	seed, m := seedChain(t, st, cell)
+	m.Deltas = append(m.Deltas[:10:10], m.Deltas[11:]...) // drop one delta: a gap
+	if err := backend.PutManifest(seed, m); err != nil {
 		t.Fatal(err)
 	}
-	base, err := st.Snapshot().EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Put("oms@1", base); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Put("framework@1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := backend.PutManifest(seed, backend.Manifest{
-		Epoch: 1, OMS: "oms@1", Framework: "framework@1",
-		OMSSum:       backend.SHA256Hex(base),
-		FrameworkSum: backend.SHA256Hex(nil),
-		BaseEpoch:    1, BaseLSN: st.FeedLSN(), FeedLSN: st.FeedLSN(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	churn(t, st, cell, 50) // the suffix the publisher must stream
 
-	p, d := startPipePublisher(t, st)
-	rep := NewReplica(testSchema(t), d, WithLocalSeed(seed))
+	p, d := startPipePublisher(t, st, WithSeedBackend(seed))
+	rep := NewReplica(testSchema(t), d)
 	rep.Start()
 	defer rep.Close()
-	waitConverged(t, rep, st, 5*time.Second)
+	waitConverged(t, rep, st, 30*time.Second)
 	if got, want := fingerprint(t, rep.Store()), fingerprint(t, st); got != want {
-		t.Fatal("fingerprint mismatch after local seed")
+		t.Fatal("fingerprint mismatch after snapshot fallback")
 	}
-	// The publisher served the suffix from its ring — no remote bootstrap.
-	if p.Stats().SnapshotBootstraps != 0 || p.Stats().ChainBootstraps != 0 {
-		t.Fatalf("unexpected remote bootstrap: %+v", p.Stats())
+	if got := p.Stats(); got.SnapshotBootstraps != 1 || got.ChainBootstraps != 0 {
+		t.Fatalf("bootstraps: snapshot %d chain %d, want 1 and 0",
+			got.SnapshotBootstraps, got.ChainBootstraps)
 	}
 }
 
