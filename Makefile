@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet perfbench lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob bench bench-contention bench-persist bench-batch bench-feed bench-repl bench-blob bench-obs clean
+.PHONY: check build vet perfbench lint fuzz-seed test race stress-persist stress-atomic stress-feed stress-repl stress-blob bench bench-contention bench-smoke bench-obs clean
 
 ## check is the CI gate: a fresh checkout must build, vet (go vet ./...),
 ## pass jcflint with zero unsuppressed findings, replay the decoder fuzz
 ## seed corpus, and pass the full test suite under the race detector,
 ## plus an extra multi-count run of the persistence crash-consistency
-## stress test, and compile, vet and test the perfbench module. This is
+## stress test, compile, vet and test the perfbench module, and run every
+## root benchmark once (bench-smoke). This is
 ## what keeps the missing-go.mod regression, data races in the sharded
 ## OMS kernel, torn (oms, framework) snapshot pairs, diverging replicas,
 ## and unguarded replica writes from ever landing again.
-check: build vet perfbench lint fuzz-seed race stress-persist stress-atomic stress-feed stress-repl stress-blob bench-obs
+check: build vet perfbench lint fuzz-seed race stress-persist stress-atomic stress-feed stress-repl stress-blob bench-smoke bench-obs
 
 build:
 	$(GO) build ./...
@@ -109,51 +110,15 @@ bench:
 bench-contention:
 	$(GO) test -bench 'BenchmarkE31LockContention|BenchmarkE36MetadataOps' -run '^$$' .
 
-## bench-persist runs the writer-stall ablation behind BENCH_2.json:
-## p99 Set latency during a concurrent snapshot, stop-the-world capture
-## vs consistent cut. Record medians of the three counts.
-bench-persist:
-	$(GO) test -bench 'BenchmarkE37SnapshotWriterStall' -run '^$$' -benchtime 150000x -count 3 .
+## bench-smoke runs every root benchmark for one iteration, so a paper
+## benchmark that fails at run time (not just at compile time) fails the
+## gate. It measures nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-## bench-batch runs the grouped-checkin ablation behind BENCH_3.json:
-## the section 3.6 copy-in sequence, op-by-op vs one atomic batch, at
-## 4/16/64 concurrent designers. Each mode runs in its own process with
-## a fixed iteration count so both do identical work on identical store
-## sizes (heap/store growth otherwise penalizes whichever mode runs
-## second). Record per-designer-count medians of the three counts.
-bench-batch:
-	$(GO) test -bench 'BenchmarkE38BatchCheckin/mode=op-by-op' -run '^$$' -benchtime 300x -count 3 .
-	$(GO) test -bench 'BenchmarkE38BatchCheckin/mode=batched' -run '^$$' -benchtime 300x -count 3 .
-
-## bench-feed runs the change-feed ablation behind BENCH_4.json: full vs
-## differential Framework.SaveTo on the segment backend as the store
-## grows (equal churn per save in both modes), plus the Watch delivery
-## latency probe. Record medians.
-bench-feed:
-	$(GO) test -bench 'BenchmarkE39DifferentialSave' -run '^$$' -benchtime 20x -count 3 .
-	$(GO) test -bench 'BenchmarkFeedWatchLatency' -run '^$$' -benchtime 20000x -count 3 .
-
-## bench-repl runs the replication benchmarks behind BENCH_5.json:
-## aggregate read throughput at 0 (primary-only baseline) / 1 / 2 / 4
-## replicas under a background write load, and commit-to-replica
-## visibility lag p50/p99 under sustained writes. Record medians of the
-## three counts.
-bench-repl:
-	$(GO) test -bench 'BenchmarkE40ReplicaReadScaling' -run '^$$' -benchtime 20000x -count 3 .
-	$(GO) test -bench 'BenchmarkE41ReplicationLag' -run '^$$' -benchtime 2000x -count 3 .
-
-## bench-blob runs the content-addressed checkin benchmarks behind
-## BENCH_6.json: checkin + metadata-commit (differential save) latency
-## p50/p99 at 4KiB/256KiB/4MiB, inline baseline vs CAS+async pipeline;
-## the dedup ratio on a re-checkin workload; and replication frame bytes
-## for a large checkin before/after. Record medians of the three counts.
-bench-blob:
-	$(GO) test -bench 'BenchmarkE42BlobCheckin' -run '^$$' -benchtime 30x -count 3 .
-	$(GO) test -bench 'BenchmarkE42BlobDedup|BenchmarkE42BlobReplFrames' -run '^$$' -benchtime 10x -count 3 .
-
-## bench-obs runs the observability overhead probe behind BENCH_7.json:
-## the BENCH_1 contention workload with instrumentation enabled (and a
-## live registry) vs stripped at runtime (obs.SetEnabled(false)). In
+## bench-obs runs the observability overhead probe: the E31-OMS
+## contention workload at 16 designers with instrumentation enabled (and
+## a live registry) vs stripped at runtime (obs.SetEnabled(false)). In
 ## `make check` it is a build-and-run smoke step only: one 1s count per
 ## mode cannot separate a ~3% effect from run-order and heap-growth
 ## noise, so it bounds nothing about overhead. Overhead claims come from

@@ -2,7 +2,9 @@
 // evaluation (section 3 plus Table 1 and Figures 1-2). Each experiment is
 // a function writing a human-readable report and returning structured
 // results so both the fwbench CLI and the root benchmark suite can drive
-// it. EXPERIMENTS.md records paper-claim vs. measured-shape for each.
+// it; each Experiment names the paper section that makes the claim. The
+// package holds the paper's experiments only: whole designer cycles are
+// measured by the perfbench module.
 package experiments
 
 import (

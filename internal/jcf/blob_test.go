@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
 	"repro/internal/oms/blobstore"
@@ -19,10 +20,10 @@ import (
 
 const blobSpillAt = 64
 
-// newBlobWorld is newWorld plus an enabled blob store on a file backend
+// newCASWorld is newWorld plus an enabled blob store on a file backend
 // (the same backend SaveTo targets, as deployed: blob-<digest> names
 // coexist with the manifest epochs).
-func newBlobWorld(t *testing.T) (*world, backend.Backend) {
+func newCASWorld(t *testing.T) (*world, backend.Backend) {
 	t.Helper()
 	w := newWorld(t, Release30)
 	be, err := backend.OpenFile(t.TempDir())
@@ -51,7 +52,7 @@ func checkInBytes(t *testing.T, fw *Framework, dir, user string, do oms.OID, dat
 // cross-wiring a version to the other goroutine's content, and Publish
 // (the durability gate) must drain every async upload first.
 func TestStressBlobDedupConcurrentCheckins(t *testing.T) {
-	w, _ := newBlobWorld(t)
+	w, _ := newCASWorld(t)
 	fw := w.fw
 	v1 := fw.Variants(w.cv)[0]
 	if err := fw.Reserve("anna", w.cv); err != nil {
@@ -129,16 +130,19 @@ func TestStressBlobDedupConcurrentCheckins(t *testing.T) {
 	if n := fw.BlobStore().Count(); n != 2 {
 		t.Fatalf("CAS holds %d blobs, want 2", n)
 	}
-	stats := fw.BlobStats()
-	logical := int64(designers * perDesigner * len(contentA))
-	if stats.LogicalIn != logical {
-		t.Fatalf("LogicalIn = %d, want %d", stats.LogicalIn, logical)
+	reg := obs.NewRegistry()
+	fw.RegisterMetrics(reg)
+	m := reg.Snapshot()
+	if got, want := m["oms_blob_logical_in_bytes_total"], int64(designers*perDesigner*len(contentA)); got != want {
+		t.Fatalf("logical in = %v, want %d", got, want)
 	}
-	if phys := int64(len(contentA) + len(contentB)); stats.PhysicalIn != phys {
-		t.Fatalf("PhysicalIn = %d, want %d (dedup broken)", stats.PhysicalIn, phys)
+	// Physical ingest is the inline bytes plus the CAS's post-dedup writes.
+	phys := m["oms_blob_inline_bytes_total"].(int64) + m["blob_physical_bytes_total"].(int64)
+	if want := int64(len(contentA) + len(contentB)); phys != want {
+		t.Fatalf("physical in = %d, want %d (dedup broken)", phys, want)
 	}
-	if stats.DedupHits != int64(designers*perDesigner-2) {
-		t.Fatalf("DedupHits = %d, want %d", stats.DedupHits, designers*perDesigner-2)
+	if got, want := m["blob_dedup_hits_total"], int64(designers*perDesigner-2); got != want {
+		t.Fatalf("dedup hits = %v, want %d", got, want)
 	}
 }
 
@@ -147,7 +151,7 @@ func TestStressBlobDedupConcurrentCheckins(t *testing.T) {
 // surviving state must load, verify every live ref, and sweep the
 // orphaned bytes.
 func TestStressBlobCrashBeforeMetadataCommit(t *testing.T) {
-	w, be := newBlobWorld(t)
+	w, be := newCASWorld(t)
 	fw := w.fw
 	v1 := fw.Variants(w.cv)[0]
 	do, err := fw.CreateDesignObject(v1, "alu-lay", w.layVT)
@@ -209,7 +213,7 @@ func TestStressBlobCrashBeforeMetadataCommit(t *testing.T) {
 // re-checks-in), but Publish must refuse it, and a PUBLISHED version
 // with a missing or corrupt blob must fail load-time verification.
 func TestStressBlobCrashBeforeBlobDurability(t *testing.T) {
-	w, be := newBlobWorld(t)
+	w, be := newCASWorld(t)
 	fw := w.fw
 	v1 := fw.Variants(w.cv)[0]
 	do, err := fw.CreateDesignObject(v1, "alu-lay", w.layVT)
@@ -231,7 +235,7 @@ func TestStressBlobCrashBeforeBlobDurability(t *testing.T) {
 	// late upload could re-create the blob after the Delete below and
 	// the simulated crash state (ref committed, blob absent) would not
 	// hold. The scenario is about the resulting on-disk state.
-	if err := fw.WaitBlobDurable(w.cv); err != nil {
+	if err := fw.waitUploads(w.cv); err != nil {
 		t.Fatal(err)
 	}
 	// The crash: delete the blob from the backend — as if the process
@@ -309,7 +313,7 @@ func TestStressBlobCrashBeforeBlobDurability(t *testing.T) {
 // checkin keep every round a fresh blob, so a stale live set would be
 // fatal rather than masked by dedup.
 func TestStressBlobSweepCheckinRace(t *testing.T) {
-	w, _ := newBlobWorld(t)
+	w, _ := newCASWorld(t)
 	fw := w.fw
 	v1 := fw.Variants(w.cv)[0]
 	if err := fw.Reserve("anna", w.cv); err != nil {
@@ -373,7 +377,7 @@ func TestStressBlobSweepCheckinRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := fw.WaitBlobDurable(w.cv); err != nil {
+	if err := fw.waitUploads(w.cv); err != nil {
 		t.Fatal(err)
 	}
 	// One final sweep with everything quiesced, then every committed
@@ -402,13 +406,22 @@ func TestStressBlobSweepCheckinRace(t *testing.T) {
 // TestStressBlobPublishWaitsForUploads: Publish must block on in-flight
 // uploads rather than racing them — checkins and publishes interleave
 // from separate goroutines and every successfully published state must
-// have durable data for all its versions.
+// have durable data for all its versions. Each round then commits a
+// differential save, whose delta carries the ref, not the design bytes,
+// and the saved chain loads back with every published ref verified.
 func TestStressBlobPublishWaitsForUploads(t *testing.T) {
-	w, _ := newBlobWorld(t)
+	w, be := newCASWorld(t)
 	fw := w.fw
 	v1 := fw.Variants(w.cv)[0]
 	do, err := fw.CreateDesignObject(v1, "alu-lay", w.layVT)
 	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := backend.OpenSegment(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.SaveTo(seg); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -437,5 +450,33 @@ func TestStressBlobPublishWaitsForUploads(t *testing.T) {
 		if err := fw.BlobStore().Verify(ref); err != nil {
 			t.Fatalf("round %d: published version not durable: %v", round, err)
 		}
+		if err := fw.SaveTo(seg); err != nil {
+			t.Fatalf("round %d: save: %v", round, err)
+		}
+		m, err := backend.LoadManifest(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Deltas) != round+1 {
+			t.Fatalf("round %d: manifest chains %d deltas, want %d", round, len(m.Deltas), round+1)
+		}
+		delta, err := seg.Get(m.Deltas[round].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(delta) >= len(content)/2 {
+			t.Fatalf("round %d: delta is %d bytes for %d bytes of design data — it shipped the bytes, not the ref",
+				round, len(delta), len(content))
+		}
+	}
+	ld, err := LoadFrom(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ld.EnableBlobStore(be, blobSpillAt); err != nil {
+		t.Fatalf("loaded chain fails ref verification: %v", err)
+	}
+	if got, want := len(ld.DesignObjectVersions(do)), 30; got != want {
+		t.Fatalf("loaded %d versions, want %d", got, want)
 	}
 }

@@ -227,17 +227,6 @@ func (fw *Framework) uploadsIdle(cv oms.OID) bool {
 	return true
 }
 
-// WaitBlobDurable blocks until every async upload registered for the
-// cell version has settled, and reports the first still-gating failure
-// — the standalone durability barrier (Publish applies it implicitly).
-// A no-op without a blob store or with nothing in flight.
-func (fw *Framework) WaitBlobDurable(cv oms.OID) error {
-	if fw.blobs == nil {
-		return nil
-	}
-	return fw.waitUploads(cv)
-}
-
 // SweepBlobs garbage-collects CAS entries no live ref reaches: the live
 // set is every KindBlobRef value in the store; blobs mid-upload or
 // pinned (headed for or through the CAS with their metadata batch still
@@ -257,10 +246,4 @@ func (fw *Framework) SweepBlobs() (int, error) {
 		})
 		return live
 	})
-}
-
-// BlobStats reports the design-data accounting split (logical vs
-// physical bytes) the dedup ratio is computed from.
-func (fw *Framework) BlobStats() oms.BlobStats {
-	return fw.store.BlobStatsNow()
 }

@@ -265,8 +265,38 @@ func populate(t *testing.T, fw *Framework, w *world, tag string, n int) {
 
 // TestDifferentialSaveRoundTrip: full base, then two differential
 // commits; the manifest chains deltas, payload bytes shrink, and Load
-// replays the chain to the exact live state.
+// replays the chain to the exact live state. The same churn runs on an
+// 8-version and a 128-version base: a differential save writes what
+// changed, so the two churn payloads match while the bases do not.
 func TestDifferentialSaveRoundTrip(t *testing.T) {
+	type payloads struct{ base, churn int }
+	got := map[int]payloads{}
+	for _, n := range []int{8, 128} {
+		t.Run(fmt.Sprintf("base=%d", n), func(t *testing.T) {
+			base, churn := differentialSaveRoundTrip(t, n)
+			got[n] = payloads{base, churn}
+		})
+	}
+	if t.Failed() {
+		return
+	}
+	small, large := got[8], got[128]
+	t.Logf("base payloads %d and %d bytes, churn payloads %d and %d bytes",
+		small.base, large.base, small.churn, large.churn)
+	if large.base <= 4*small.base {
+		t.Fatalf("base payloads %d and %d bytes: the larger base must be >4x the smaller", small.base, large.base)
+	}
+	lo, hi := min(small.churn, large.churn), max(small.churn, large.churn)
+	if 10*(hi-lo) >= lo {
+		t.Fatalf("churn payload %d bytes on the small base, %d on the large: a delta must follow the churn, not the store",
+			small.churn, large.churn)
+	}
+}
+
+// differentialSaveRoundTrip runs the round trip on a base of
+// baseVersions checkins and returns the base payload size and the size
+// of what the first 2-checkin churn save wrote for the store.
+func differentialSaveRoundTrip(t *testing.T, baseVersions int) (base, churn int) {
 	w := newWorld(t, Release30)
 	fw := w.fw
 	if err := fw.Reserve("anna", w.cv); err != nil {
@@ -276,7 +306,7 @@ func TestDifferentialSaveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(t, fw, w, "base", 8)
+	populate(t, fw, w, "base", baseVersions)
 	if err := fw.SaveTo(seg); err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +324,20 @@ func TestDifferentialSaveRoundTrip(t *testing.T) {
 
 	populate(t, fw, w, "delta1", 2)
 	if err := fw.SaveTo(seg); err != nil {
+		t.Fatal(err)
+	}
+	// What the churn save wrote: its delta, or a whole new base had it
+	// fallen back to a full save.
+	m2, err := backend.LoadManifest(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := m2.OMS
+	if len(m2.Deltas) > 0 {
+		written = m2.Deltas[len(m2.Deltas)-1].Name
+	}
+	churnPayload, err := seg.Get(written)
+	if err != nil {
 		t.Fatal(err)
 	}
 	populate(t, fw, w, "delta2", 2)
@@ -363,6 +407,7 @@ func TestDifferentialSaveRoundTrip(t *testing.T) {
 	if _, err := LoadFrom(seg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lsn %d", lsn)) {
 		t.Fatalf("LoadFrom with a value-less Set record: got %v, want an error naming lsn %d", err, lsn)
 	}
+	return len(basePayload), len(churnPayload)
 }
 
 // TestDifferentialSaveCompaction: the chain folds back into a full base

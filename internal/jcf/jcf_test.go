@@ -2,8 +2,10 @@ package jcf
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/flow"
@@ -436,6 +438,41 @@ func TestParallelWorkOnDisjointCells(t *testing.T) {
 	if fw.ReserveConflicts() != 0 {
 		t.Fatalf("conflicts = %d", fw.ReserveConflicts())
 	}
+	// Both designers then create design objects and check data in at
+	// the same time, each in their own workspace; none of it may fail.
+	src := filepath.Join(t.TempDir(), "d.dat")
+	if err := os.WriteFile(src, []byte("design data"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const objects, checkins = 4, 5
+	var wg sync.WaitGroup
+	for _, ws := range []struct {
+		user string
+		cv   oms.OID
+	}{{"anna", w.cv}, {"bert", cv2}} {
+		wg.Add(1)
+		go func(user string, cv oms.OID) {
+			defer wg.Done()
+			v := fw.Variants(cv)[0]
+			for i := 0; i < objects; i++ {
+				do, err := fw.CreateDesignObject(v, fmt.Sprintf("%s-%d", user, i), w.schVT)
+				if err != nil {
+					t.Errorf("%s: create design object: %v", user, err)
+					return
+				}
+				for c := 0; c < checkins; c++ {
+					if _, err := fw.CheckInData(user, do, src); err != nil {
+						t.Errorf("%s: checkin: %v", user, err)
+						return
+					}
+				}
+				if got := len(fw.DesignObjectVersions(do)); got != checkins {
+					t.Errorf("%s: design object has %d versions, want %d", user, got, checkins)
+				}
+			}
+		}(ws.user, ws.cv)
+	}
+	wg.Wait()
 }
 
 func TestFlowEnforcementThroughFramework(t *testing.T) {

@@ -87,16 +87,6 @@ func (fw *Framework) Save(dir string) error {
 	return fw.SaveTo(b)
 }
 
-// SetDifferentialSave toggles differential saves (on by default). With
-// differential saves off — or on a backend that is not DeltaCapable —
-// every SaveTo writes a full base snapshot. The knob exists for the
-// full-vs-differential ablation (`make bench-feed`).
-func (fw *Framework) SetDifferentialSave(enabled bool) {
-	fw.saveMu.Lock()
-	defer fw.saveMu.Unlock()
-	fw.fullSaveOnly = !enabled
-}
-
 // SaveTo persists the framework through an arbitrary storage backend.
 //
 // The capture is one consistent cut: the framework maps are copied and
@@ -141,8 +131,7 @@ func (fw *Framework) SaveTo(b backend.Backend) error {
 		maxChain = defaultMaxDeltaChain
 	}
 	dc, deltaCapable := b.(backend.DeltaCapable)
-	wantDelta := !fw.fullSaveOnly &&
-		deltaCapable && dc.SupportsDeltas() &&
+	wantDelta := deltaCapable && dc.SupportsDeltas() &&
 		havePrev && fw.lastSaveTo == b && fw.lastSaveEpoch == prev.Epoch &&
 		prev.FeedLSN == fw.lastSaveLSN &&
 		len(prev.Deltas) < maxChain

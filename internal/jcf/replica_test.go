@@ -80,6 +80,15 @@ func TestReplicaReadOnlyView(t *testing.T) {
 	if holder, held := view.ReservedBy(w.cv); !held || holder != "anna" {
 		t.Fatalf("replica ReservedBy = %q, %v", holder, held)
 	}
+	if got := view.Variants(w.cv); len(got) != 1 || got[0] != variants[0] {
+		t.Fatalf("replica Variants = %v, want %v", got, variants[:1])
+	}
+	if got := view.DesignObjects(variants[0]); len(got) != 1 || got[0] != do {
+		t.Fatalf("replica DesignObjects = %v, want [%d]", got, do)
+	}
+	if n, err := view.DataSize(dov); err != nil || n != int64(len("netlist v1")) {
+		t.Fatalf("replica DataSize = %d, %v", n, err)
+	}
 	if !view.CanWrite("anna", w.cv) || view.CanWrite("bert", w.cv) {
 		t.Fatal("replica workspace access rules broken")
 	}

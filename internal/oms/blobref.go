@@ -101,30 +101,6 @@ func (st *Store) ForEachBlobRef(fn func(oid OID, attr string, r blobstore.Ref)) 
 	})
 }
 
-// BlobStats reports the store's design-data accounting.
-type BlobStats struct {
-	LogicalIn  int64 // design bytes handed to the store (inline + spilled)
-	PhysicalIn int64 // bytes actually written: inline copies + post-dedup CAS writes
-	LogicalOut int64 // design bytes read back out
-	DedupHits  int64 // CAS puts satisfied without a write
-}
-
-// BlobStatsNow returns the logical/physical split, so the dedup ratio is
-// observable directly from the store.
-func (st *Store) BlobStatsNow() BlobStats {
-	bs := BlobStats{
-		LogicalIn:  st.statBlobIn.Load(),
-		PhysicalIn: st.statBlobPhys.Load(),
-		LogicalOut: st.statBlobOut.Load(),
-	}
-	if st.blobs != nil {
-		s := st.blobs.Stats()
-		bs.PhysicalIn += s.PhysicalBytes
-		bs.DedupHits = s.DedupHits
-	}
-	return bs
-}
-
 // noteBlobIn accounts one stored blob-carrying value: statBlobIn counts
 // logical design bytes either way; statBlobPhys only the bytes written
 // inline (the blobstore counts its own post-dedup writes).

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/oms/backend"
 	"repro/internal/oms/blobstore"
 )
@@ -116,15 +117,19 @@ func TestSpillInBatch(t *testing.T) {
 	if bs.Count() != 1 {
 		t.Fatalf("CAS holds %d blobs, want 1 (dedup)", bs.Count())
 	}
-	stats := st.BlobStatsNow()
-	if stats.LogicalIn != 2*int64(len(data)) {
-		t.Fatalf("LogicalIn = %d, want %d", stats.LogicalIn, 2*len(data))
+	reg := obs.NewRegistry()
+	st.RegisterMetrics(reg)
+	m := reg.Snapshot()
+	if got := m["oms_blob_logical_in_bytes_total"]; got != 2*int64(len(data)) {
+		t.Fatalf("logical in = %v, want %d", got, 2*len(data))
 	}
-	if stats.PhysicalIn != int64(len(data)) {
-		t.Fatalf("PhysicalIn = %d, want %d (one physical copy)", stats.PhysicalIn, len(data))
+	// Physical ingest is the inline bytes plus the CAS's post-dedup writes.
+	phys := m["oms_blob_inline_bytes_total"].(int64) + m["blob_physical_bytes_total"].(int64)
+	if phys != int64(len(data)) {
+		t.Fatalf("physical in = %d, want %d (one physical copy)", phys, len(data))
 	}
-	if stats.DedupHits != 1 {
-		t.Fatalf("DedupHits = %d, want 1", stats.DedupHits)
+	if got := m["blob_dedup_hits_total"]; got != int64(1) {
+		t.Fatalf("dedup hits = %v, want 1", got)
 	}
 }
 

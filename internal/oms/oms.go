@@ -479,7 +479,8 @@ func (st *Store) Schema() *Schema { return st.schema }
 
 // Stats reports cumulative operation counters (ops, logical blob bytes
 // in, logical blob bytes out). Used by the section 3.6 experiments; the
-// logical/physical split behind the dedup ratio is BlobStatsNow.
+// logical/physical split behind the dedup ratio is in the registry
+// (RegisterMetrics).
 func (st *Store) Stats() (ops, blobIn, blobOut int64) {
 	return st.statOps.Load(), st.statBlobIn.Load(), st.statBlobOut.Load()
 }
@@ -533,7 +534,7 @@ func (st *Store) unlockAll() {
 }
 
 // rlockAll read-locks every stripe in ascending order — the consistent-
-// cut hold of the snapshot capture paths. Pairs with runlockAll.
+// cut hold of Snapshot. Pairs with runlockAll.
 func (st *Store) rlockAll() {
 	for i := range st.stripes {
 		st.stripes[i].mu.RLock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // snapshot is the on-disk form of a Store. It intentionally contains only
@@ -34,52 +33,6 @@ type snapshotLink struct {
 	Rel  string `json:"rel"`
 	From OID    `json:"from"`
 	To   OID    `json:"to"`
-}
-
-// SnapshotStopTheWorld is the pre-PR-2 capture strategy, retained only
-// as the ablation baseline for the writer-stall benchmark
-// (BenchmarkE37SnapshotWriterStall / BENCH_2.json): every stripe is
-// read-locked while the full content — blob bytes included — is deep-
-// copied out, so writers stall for O(total blob bytes) instead of
-// Snapshot's O(object headers). New code must use Snapshot.
-//
-// It also reproduces the allocation-window bug Snapshot fixes: nextOID
-// is read before the stripe locks, so an object created in the gap can
-// be captured with OID >= NextOID.
-func (st *Store) SnapshotStopTheWorld() *Snapshot {
-	st.allocMu.Lock()
-	sn := &Snapshot{nextOID: st.nextOID}
-	st.allocMu.Unlock()
-
-	st.rlockAll()
-	for i := range st.stripes {
-		for _, obj := range st.stripes[i].objects {
-			h := snapObjHdr{
-				oid:   obj.oid,
-				class: obj.class,
-				attrs: make(map[string]Value, len(obj.attrs)),
-			}
-			for name, v := range obj.attrs {
-				// The stop-the-world property: blob bytes are copied
-				// while every stripe lock is held.
-				h.attrs[name] = v.clone()
-			}
-			if len(obj.links) > 0 {
-				h.links = make(map[string][]OID, len(obj.links))
-				for rel, targets := range obj.links {
-					ts := make([]OID, 0, len(targets))
-					for to := range targets {
-						ts = append(ts, to)
-					}
-					h.links[rel] = ts
-				}
-			}
-			sn.objs = append(sn.objs, h)
-		}
-	}
-	st.runlockAll()
-	sort.Slice(sn.objs, func(i, j int) bool { return sn.objs[i].oid < sn.objs[j].oid })
-	return sn
 }
 
 // DecodeSnapshot rebuilds a store from an encoded snapshot payload (the

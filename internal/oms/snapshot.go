@@ -22,8 +22,7 @@ import (
 //
 // Encoding and writing the snapshot happen entirely outside the locks, so
 // concurrent designers stall only for the header copy — never for the
-// JSON encode or the disk write. Compare Store.SnapshotStopTheWorld,
-// the pre-snapshot capture retained as the ablation baseline.
+// JSON encode or the disk write.
 
 // snapObjHdr is one captured object header. attrs shares Value contents
 // (including blob backing arrays) with the live store; links is a

@@ -38,8 +38,8 @@ type Publisher struct {
 	statCloseErrors obs.Counter
 }
 
-// RegisterMetrics exposes the publisher's counters in reg; they are the
-// same cells Stats() reads, so both views always agree.
+// RegisterMetrics exposes the publisher's counters in reg — the only
+// view of them.
 func (p *Publisher) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("repl_pub_sessions_total", &p.statSessions)
 	reg.RegisterCounter("repl_pub_snapshot_bootstraps_total", &p.statSnapshots)
@@ -52,29 +52,12 @@ func (p *Publisher) RegisterMetrics(reg *obs.Registry) {
 // closeConn tears a connection or listener down. Teardown failures
 // cannot be returned (the session is already gone) but they must not
 // vanish either — a transport that fails to close is a descriptor leak
-// in the making, so the failure is counted and surfaced in Stats.
+// in the making, so the failure is counted in
+// repl_pub_close_errors_total.
 func (p *Publisher) closeConn(c interface{ Close() error }) {
 	if err := c.Close(); err != nil {
 		p.statCloseErrors.Inc()
 	}
-}
-
-// PublisherStats is a point-in-time counter snapshot.
-type PublisherStats struct {
-	// Sessions is the number of follower sessions ever accepted.
-	Sessions int64
-	// SnapshotBootstraps counts sessions bootstrapped with a fresh
-	// consistent-cut snapshot of the live store.
-	SnapshotBootstraps int64
-	// ChainBootstraps counts sessions bootstrapped by shipping the
-	// persistence layer's committed base + delta chain instead.
-	ChainBootstraps int64
-	// FramesSent / BytesSent count streamed frames and payload bytes.
-	FramesSent int64
-	BytesSent  int64
-	// CloseErrors counts connection/listener teardowns that themselves
-	// failed — otherwise-invisible descriptor-leak warnings.
-	CloseErrors int64
 }
 
 // PublisherOption configures NewPublisher.
@@ -181,18 +164,6 @@ func (p *Publisher) Close() {
 		p.closeConn(c)
 	}
 	p.wg.Wait()
-}
-
-// Stats returns cumulative publisher counters.
-func (p *Publisher) Stats() PublisherStats {
-	return PublisherStats{
-		Sessions:           p.statSessions.Load(),
-		SnapshotBootstraps: p.statSnapshots.Load(),
-		ChainBootstraps:    p.statChainBoots.Load(),
-		FramesSent:         p.statFrames.Load(),
-		BytesSent:          p.statBytes.Load(),
-		CloseErrors:        p.statCloseErrors.Load(),
-	}
 }
 
 // session runs one follower connection: hello → (bootstrap frames) →

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/oms"
 	"repro/internal/oms/backend"
 )
@@ -344,6 +345,8 @@ func TestReplicaChainBootstrap(t *testing.T) {
 	}
 
 	p, d := startPipePublisher(t, st, WithSeedBackend(seed))
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
 	rep := NewReplica(testSchema(t), d)
 	rep.Start()
 	defer rep.Close()
@@ -351,12 +354,7 @@ func TestReplicaChainBootstrap(t *testing.T) {
 	if got, want := fingerprint(t, rep.Store()), fingerprint(t, st); got != want {
 		t.Fatal("fingerprint mismatch after chain bootstrap")
 	}
-	if p.Stats().ChainBootstraps != 1 {
-		t.Fatalf("chain bootstraps = %d, want 1", p.Stats().ChainBootstraps)
-	}
-	if p.Stats().SnapshotBootstraps != 0 {
-		t.Fatalf("snapshot bootstraps = %d, want 0", p.Stats().SnapshotBootstraps)
-	}
+	checkBootstraps(t, reg, 0, 1)
 }
 
 // TestReplicaChainBootstrapGapFallsBack: a seed manifest whose delta
@@ -376,6 +374,8 @@ func TestReplicaChainBootstrapGapFallsBack(t *testing.T) {
 	}
 
 	p, d := startPipePublisher(t, st, WithSeedBackend(seed))
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
 	rep := NewReplica(testSchema(t), d)
 	rep.Start()
 	defer rep.Close()
@@ -383,9 +383,17 @@ func TestReplicaChainBootstrapGapFallsBack(t *testing.T) {
 	if got, want := fingerprint(t, rep.Store()), fingerprint(t, st); got != want {
 		t.Fatal("fingerprint mismatch after snapshot fallback")
 	}
-	if got := p.Stats(); got.SnapshotBootstraps != 1 || got.ChainBootstraps != 0 {
-		t.Fatalf("bootstraps: snapshot %d chain %d, want 1 and 0",
-			got.SnapshotBootstraps, got.ChainBootstraps)
+	checkBootstraps(t, reg, 1, 0)
+}
+
+// checkBootstraps asserts the publisher's bootstrap counters, read from
+// the registry it was registered in.
+func checkBootstraps(t *testing.T, reg *obs.Registry, snapshot, chain int64) {
+	t.Helper()
+	m := reg.Snapshot()
+	gotSnap, gotChain := m["repl_pub_snapshot_bootstraps_total"], m["repl_pub_chain_bootstraps_total"]
+	if gotSnap != snapshot || gotChain != chain {
+		t.Fatalf("bootstraps: snapshot %v chain %v, want %d and %d", gotSnap, gotChain, snapshot, chain)
 	}
 }
 
